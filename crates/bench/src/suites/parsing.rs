@@ -5,7 +5,7 @@ use std::hint::black_box;
 use ucfg_automata::ln_nfa::{exact_nfa, pattern_nfa};
 use ucfg_core::ln_grammars::{appendix_a_grammar, example4_ucfg};
 use ucfg_core::words;
-use ucfg_grammar::cyk::CykChart;
+use ucfg_grammar::cyk::{CykChart, CykRuleIndex};
 use ucfg_grammar::earley::Earley;
 use ucfg_grammar::normal_form::CnfGrammar;
 use ucfg_grammar::parse_tree::FixedLenParser;
@@ -37,6 +37,18 @@ fn bench_cyk(suite: &mut Suite) {
                 acc += usize::from(CykChart::build(black_box(&cnf), w).accepted());
             }
             acc
+        });
+    }
+}
+
+/// Rule-index construction on the Example 4 uCFG (1 174 and 3 439 CNF
+/// non-terminals): the compile step `/parse` pays on a cache miss.
+fn bench_cyk_index(suite: &mut Suite) {
+    let mut g = suite.group("cyk_index_build");
+    for n in [6usize, 7] {
+        let cnf = CnfGrammar::from_grammar(&example4_ucfg(n));
+        g.bench(&format!("example4_ucfg/{n}"), || {
+            CykRuleIndex::new(black_box(&cnf)).heap_bytes()
         });
     }
 }
@@ -113,6 +125,7 @@ fn bench_nfa(suite: &mut Suite) {
 pub(super) fn build(opts: Options) -> Suite {
     let mut suite = Suite::with_options("parsing", opts);
     bench_cyk(&mut suite);
+    bench_cyk_index(&mut suite);
     bench_cyk_count(&mut suite);
     bench_fixed_len_parser(&mut suite);
     bench_earley(&mut suite);

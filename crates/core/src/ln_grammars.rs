@@ -374,6 +374,27 @@ mod tests {
     use ucfg_grammar::count::decide_unambiguous;
     use ucfg_grammar::language::finite_language;
 
+    /// The CYK rule index of the Example 4 uCFG is sized by its rule
+    /// count, not by the square of its non-terminal count (10 040 CNF
+    /// non-terminals at n = 8, where an `nts × nts` table alone would
+    /// need ~400 MB).
+    #[test]
+    fn example4_rule_index_is_linear_in_grammar_size() {
+        use ucfg_grammar::cyk::{CykChart, CykRuleIndex};
+        use ucfg_grammar::CnfGrammar;
+        let cnf = CnfGrammar::from_grammar(&example4_ucfg(8));
+        let index = CykRuleIndex::new(&cnf);
+        let budget = 64 * (cnf.nonterminal_count() + cnf.bin_rules().len());
+        assert!(
+            index.heap_bytes() <= budget,
+            "index {} B over budget {budget} B",
+            index.heap_bytes()
+        );
+        let word = cnf.encode("abbbbbbbabbbbbbb").unwrap();
+        let chart = CykChart::build_with_index(&cnf, &index, &word);
+        assert_eq!(chart.count_trees(), BigUint::one());
+    }
+
     fn ln_strings(n: usize) -> BTreeSet<String> {
         enumerate_ln(n)
             .into_iter()

@@ -13,25 +13,67 @@ use crate::symbol::{NonTerminal, Symbol};
 
 /// Which non-terminals can derive some terminal word.
 pub fn productive(g: &Grammar) -> Vec<bool> {
-    let mut prod = vec![false; g.nonterminal_count()];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for r in g.rules() {
-            if prod[r.lhs.index()] {
-                continue;
+    body_fixpoint(g.nonterminal_count(), g.rules(), true)
+}
+
+/// The least set of non-terminals `A` such that some rule `A → α` has
+/// every symbol of `α` in the set, where terminals count as members iff
+/// `terminals_hold`. Productivity is the `true` case, nullability the
+/// `false` one.
+///
+/// Worklist over per-rule counts of non-terminal occurrences not yet in
+/// the set: each occurrence is visited once when its non-terminal joins,
+/// so the pass is linear in `|G|` whatever the rule order.
+pub(crate) fn body_fixpoint(nts: usize, rules: &[Rule], terminals_hold: bool) -> Vec<bool> {
+    let mut holds = vec![false; nts];
+    let mut missing = vec![0usize; rules.len()];
+    // Rules by non-terminal occurrence, in compressed rows: the
+    // occurrences of `n` are `occ[occ_start[n]..occ_start[n + 1]]`.
+    let mut occ_start = vec![0usize; nts + 1];
+    let mut queue = Vec::new();
+    for (i, r) in rules.iter().enumerate() {
+        if !terminals_hold && r.rhs.iter().any(|s| s.is_terminal()) {
+            missing[i] = usize::MAX; // can never fire
+            continue;
+        }
+        for s in &r.rhs {
+            if let Symbol::N(n) = s {
+                missing[i] += 1;
+                occ_start[n.index() + 1] += 1;
             }
-            let ok = r.rhs.iter().all(|s| match s {
-                Symbol::T(_) => true,
-                Symbol::N(n) => prod[n.index()],
-            });
-            if ok {
-                prod[r.lhs.index()] = true;
-                changed = true;
+        }
+        if missing[i] == 0 && !holds[r.lhs.index()] {
+            holds[r.lhs.index()] = true;
+            queue.push(r.lhs);
+        }
+    }
+    for n in 0..nts {
+        occ_start[n + 1] += occ_start[n];
+    }
+    let mut fill = occ_start.clone();
+    let mut occ = vec![0usize; occ_start[nts]];
+    for (i, r) in rules.iter().enumerate() {
+        if missing[i] == usize::MAX {
+            continue;
+        }
+        for s in &r.rhs {
+            if let Symbol::N(n) = s {
+                occ[fill[n.index()]] = i;
+                fill[n.index()] += 1;
             }
         }
     }
-    prod
+    while let Some(n) = queue.pop() {
+        for &i in &occ[occ_start[n.index()]..occ_start[n.index() + 1]] {
+            missing[i] -= 1;
+            let lhs = rules[i].lhs;
+            if missing[i] == 0 && !holds[lhs.index()] {
+                holds[lhs.index()] = true;
+                queue.push(lhs);
+            }
+        }
+    }
+    holds
 }
 
 /// Which non-terminals are reachable from the start symbol.
@@ -130,25 +172,7 @@ pub fn trim(g: &Grammar) -> Grammar {
 
 /// Which non-terminals can derive ε.
 pub fn nullable(g: &Grammar) -> Vec<bool> {
-    let mut null = vec![false; g.nonterminal_count()];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for r in g.rules() {
-            if null[r.lhs.index()] {
-                continue;
-            }
-            let ok = r.rhs.iter().all(|s| match s {
-                Symbol::T(_) => false,
-                Symbol::N(n) => null[n.index()],
-            });
-            if ok {
-                null[r.lhs.index()] = true;
-                changed = true;
-            }
-        }
-    }
-    null
+    body_fixpoint(g.nonterminal_count(), g.rules(), false)
 }
 
 /// Is `L(G)` a finite language?

@@ -7,6 +7,7 @@
 //! related-work section contrasts).
 
 use crate::symbol::{NonTerminal, Symbol, Terminal};
+use crate::vec_bytes;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -96,6 +97,22 @@ impl Grammar {
     /// Number of rules (the Bucher-et-al. measure, for comparison tables).
     pub fn rule_count(&self) -> usize {
         self.rules.len()
+    }
+
+    /// Bytes this grammar holds on the heap (allocated capacity of its
+    /// names, rule bodies and per-head index).
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.alphabet)
+            + vec_bytes(&self.nonterminal_names)
+            + self
+                .nonterminal_names
+                .iter()
+                .map(String::capacity)
+                .sum::<usize>()
+            + vec_bytes(&self.rules)
+            + self.rules.iter().map(|r| vec_bytes(&r.rhs)).sum::<usize>()
+            + vec_bytes(&self.rules_by_lhs)
+            + self.rules_by_lhs.iter().map(vec_bytes).sum::<usize>()
     }
 
     /// Number of non-terminals.

@@ -3,9 +3,10 @@
 //! The chart stores, for every span `(i, len)`, the bitset of non-terminals
 //! deriving that span. Chart filling uses a rule-indexed **bitset kernel**
 //! ([`CykRuleIndex`]): binary rules are grouped by left child, and cells
-//! combine with word-level AND/OR over 64-non-terminal blocks instead of
-//! per-rule scalar bit probes. The classic per-rule loop is kept as
-//! [`CykChart::build_scalar`], the differential reference.
+//! combine with word-level AND/OR over the non-zero 64-non-terminal
+//! blocks of the rule sets instead of per-rule scalar bit probes. The
+//! classic per-rule loop is kept as [`CykChart::build_scalar`], the
+//! differential reference.
 //!
 //! On top of the boolean chart we provide exact parse-tree **counting**
 //! (the ambiguity degree of a word — the quantity whose `= 1` everywhere
@@ -15,74 +16,197 @@ use crate::bignum::BigUint;
 use crate::normal_form::CnfGrammar;
 use crate::parse_tree::{Child, ParseTree};
 use crate::symbol::{NonTerminal, Terminal};
+use crate::vec_bytes;
 use std::collections::HashMap;
 use ucfg_support::{arena, obs, simd};
 
-/// Binary rules re-indexed for the bitset CYK kernel.
+/// Binary rules re-indexed for the bitset CYK kernel, block-sparse.
 ///
-/// For each left child `B`, the index stores the bitset of right children
-/// `C` occurring in rules `A → B C` (`c_mask`) and, per such `C`, the
-/// bitset of heads `A` (`a_masks[C]`). The chart kernel then walks the set
-/// bits of the left cell, ANDs `c_mask` against the right cell one
-/// 64-non-terminal block at a time, and ORs whole `a_masks` into the
-/// target cell — `O(words)` per surviving `(B, C)` pair instead of one
-/// scalar probe per rule.
+/// Rules `A → B C` are grouped by left child `B`, then by `(B, C)`
+/// *pair*. Pairs are numbered in `(B, C)` order. For each `B` the index
+/// keeps only the non-zero 64-bit blocks of its right-child set; each
+/// block records the number of its lowest pair, so the pair of a right
+/// child `C` that hits is that base plus the rank of `C` within the
+/// block (a popcount). For each pair it keeps only the non-zero 64-bit
+/// blocks of its head set. Memory is `O(nts + binary rules)` — never
+/// `nts²` — which is what lets exponential-size grammars such as the
+/// paper's Example 4 uCFG compile at all.
+///
+/// The chart kernel walks the set bits of the left cell, ANDs each of
+/// `B`'s right blocks against the matching word of the right cell, and
+/// ORs the head blocks of every hit pair into the target cell: work
+/// proportional to the live `(B, C)` pairs, with all-zero words of the
+/// rule sets never stored or visited.
 ///
 /// Build it once per grammar ([`CykRuleIndex::new`]) and reuse it across
 /// words via [`CykChart::build_with_index`]; [`CykChart::build`] creates a
 /// throwaway index internally.
 #[derive(Debug)]
 pub struct CykRuleIndex {
-    nts: usize,
     words_per_set: usize,
-    /// Per left child `B`: bitset of right children, `words_per_set` words
-    /// starting at `B * words_per_set`.
-    c_masks: Vec<u64>,
-    /// Dense `(B, C) → a_slab` offset (`B * nts + C`); [`NO_RULE`] when no
-    /// rule `A → B C` exists. Three flat slabs instead of per-group
-    /// `Vec<Vec<u64>>` keep index construction to O(1) allocations, so
-    /// [`CykChart::build`]'s throwaway index stays cheap for short words.
-    a_offset: Vec<u32>,
-    /// Head bitsets, one `words_per_set` block per distinct `(B, C)` pair.
-    a_slab: Vec<u64>,
     /// Bitset of left children that head at least one binary rule
     /// (`words_per_set` words): ANDed into each left cell before the bit
     /// walk, so non-terminals that never combine rightward — terminal-only
     /// producers, most of a CNF conversion's chain symbols — cost nothing
-    /// per split.
+    /// per split. Every live `B` has at least one right block.
     left_live: Vec<u64>,
+    /// Per left child `B`: its right blocks are
+    /// `right[right_start[B]..right_start[B + 1]]` (`nts + 1` entries).
+    /// With one word per set, `right[B]` is `B`'s only block (empty when
+    /// `B` is not live).
+    right_start: Vec<u32>,
+    right: Vec<RightBlock>,
+    /// Per pair `p`: its head blocks are `head[head_start[p]..head_start[p
+    /// + 1]]` (`pairs + 1` entries). With one word per set every pair has
+    /// exactly one head block, so `head[p]` belongs to pair `p`.
+    head_start: Vec<u32>,
+    head: Vec<HeadBlock>,
 }
 
-const NO_RULE: u32 = u32::MAX;
+/// One non-zero word of a left child's right-child set.
+#[derive(Debug, Clone, Copy)]
+struct RightBlock {
+    /// The right children `C` in this word.
+    mask: u64,
+    /// Which word of the right cell the block covers.
+    word: u32,
+    /// The pair number of the block's lowest right child.
+    pair: u32,
+}
+
+/// One non-zero word of a pair's head set.
+#[derive(Debug, Clone, Copy)]
+struct HeadBlock {
+    /// The heads `A` in this word.
+    mask: u64,
+    /// Which word of the target cell the block covers.
+    word: u32,
+}
 
 impl CykRuleIndex {
-    /// Index the binary rules of `g` by left child.
+    /// Index the binary rules of `g` by left child, then by `(B, C)`
+    /// pair: two counting-sort passes over the rules, one pass to size
+    /// the tables exactly (growing them instead costs more than the rest
+    /// of a small build), and one pass to fill them.
     pub fn new(g: &CnfGrammar) -> Self {
         obs::count!("cyk.index_builds");
         let nts = g.nonterminal_count();
         let words_per_set = nts.div_ceil(64);
-        let mut c_masks = vec![0u64; nts * words_per_set];
-        let mut a_offset = vec![NO_RULE; nts * nts];
-        let mut a_slab = Vec::new();
-        let mut left_live = vec![0u64; words_per_set];
-        for &(a, b, c) in g.bin_rules() {
-            left_live[b.index() / 64] |= 1u64 << (b.index() % 64);
-            c_masks[b.index() * words_per_set + c.index() / 64] |= 1u64 << (c.index() % 64);
-            let slot = &mut a_offset[b.index() * nts + c.index()];
-            if *slot == NO_RULE {
-                *slot = u32::try_from(a_slab.len()).expect("a_slab offset fits u32");
-                a_slab.resize(a_slab.len() + words_per_set, 0);
+        // Order the rules by (B, C) with two stable counting passes — by
+        // C, then by B — so each pair's heads keep their `bin_rules`
+        // order (ascending for every converted grammar).
+        let mut rules: Vec<(u32, u32, u32)> = g
+            .bin_rules()
+            .iter()
+            .map(|&(a, b, c)| (b.0, c.0, a.0))
+            .collect();
+        let mut sorted = vec![(0, 0, 0); rules.len()];
+        let mut slot = vec![0usize; nts + 1];
+        for by_left in [false, true] {
+            let key = |r: &(u32, u32, u32)| (if by_left { r.0 } else { r.1 }) as usize;
+            slot.fill(0);
+            for r in &rules {
+                slot[key(r) + 1] += 1;
             }
-            a_slab[*slot as usize + a.index() / 64] |= 1u64 << (a.index() % 64);
+            for k in 0..nts {
+                slot[k + 1] += slot[k];
+            }
+            for r in &rules {
+                sorted[slot[key(r)]] = *r;
+                slot[key(r)] += 1;
+            }
+            std::mem::swap(&mut rules, &mut sorted);
         }
-        CykRuleIndex {
-            nts,
+        // A rule opens a pair when its (B, C) is new, a right block when
+        // its (B, C-word) is new, and a head block when its (B, C,
+        // A-word) is new.
+        let (mut pairs, mut right_blocks, mut head_blocks) = (0, 0, 0);
+        for (i, &(b, c, a)) in rules.iter().enumerate() {
+            let prev = i.checked_sub(1).map(|j| rules[j]);
+            let new_pair = prev.is_none_or(|(pb, pc, _)| (pb, pc) != (b, c));
+            pairs += usize::from(new_pair);
+            right_blocks +=
+                usize::from(prev.is_none_or(|(pb, pc, _)| (pb, pc / 64) != (b, c / 64)));
+            head_blocks +=
+                usize::from(new_pair || prev.is_some_and(|(_, _, pa)| pa / 64 != a / 64));
+        }
+        if words_per_set == 1 {
+            right_blocks = nts;
+        }
+        let offset = |len: usize| u32::try_from(len).expect("rule index offset fits u32");
+        let mut index = CykRuleIndex {
             words_per_set,
-            c_masks,
-            a_offset,
-            a_slab,
-            left_live,
+            left_live: vec![0u64; words_per_set],
+            right_start: Vec::with_capacity(nts + 1),
+            right: Vec::with_capacity(right_blocks),
+            head_start: Vec::with_capacity(pairs + 1),
+            head: Vec::with_capacity(head_blocks),
+        };
+        let mut r = 0;
+        for b in 0..nts {
+            let first_block = index.right.len();
+            let first_rule = r;
+            index.right_start.push(offset(first_block));
+            if words_per_set == 1 {
+                // Every B owns exactly one (possibly empty) right block.
+                index.right.push(RightBlock {
+                    mask: 0,
+                    word: 0,
+                    pair: offset(index.head_start.len()),
+                });
+            }
+            while r < rules.len() && rules[r].0 as usize == b {
+                // A new pair (B, C): open a right block unless C shares
+                // the previous right child's word.
+                let c = rules[r].1;
+                let pair = offset(index.head_start.len());
+                match index.right[first_block..].last_mut() {
+                    Some(blk) if blk.word == c / 64 => {
+                        blk.mask |= 1u64 << (c % 64);
+                    }
+                    _ => index.right.push(RightBlock {
+                        mask: 1u64 << (c % 64),
+                        word: c / 64,
+                        pair,
+                    }),
+                }
+                let first_head = index.head.len();
+                index.head_start.push(offset(first_head));
+                while r < rules.len() && rules[r].0 as usize == b && rules[r].1 == c {
+                    let a = rules[r].2;
+                    match index.head[first_head..].last_mut() {
+                        Some(blk) if blk.word == a / 64 => {
+                            blk.mask |= 1u64 << (a % 64);
+                        }
+                        _ => index.head.push(HeadBlock {
+                            mask: 1u64 << (a % 64),
+                            word: a / 64,
+                        }),
+                    }
+                    r += 1;
+                }
+            }
+            if r > first_rule {
+                index.left_live[b / 64] |= 1u64 << (b % 64);
+            }
         }
+        index.right_start.push(offset(index.right.len()));
+        index.head_start.push(offset(index.head.len()));
+        debug_assert_eq!(
+            (index.right.len(), index.head.len()),
+            (right_blocks, head_blocks)
+        );
+        index
+    }
+
+    /// Bytes this index holds on the heap (allocated capacity of every
+    /// table): `O(nts + binary rules)`.
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.left_live)
+            + vec_bytes(&self.right_start)
+            + vec_bytes(&self.right)
+            + vec_bytes(&self.head_start)
+            + vec_bytes(&self.head)
     }
 }
 
@@ -132,15 +256,49 @@ impl<'g> CykChart<'g> {
     fn chart(g: &'g CnfGrammar, index: &CykRuleIndex, word: &[Terminal]) -> Self {
         if obs::enabled() {
             obs::count!("cyk.charts");
-            Self::fill::<true>(g, index, word)
+            Self::fill_dispatch::<true>(g, index, word)
         } else {
-            Self::fill::<false>(g, index, word)
+            Self::fill_dispatch::<false>(g, index, word)
         }
     }
 
-    /// The bitset fill. With `TRACE`, rule-slab AND/OR word ops accumulate
-    /// in locals and flush to the `cyk.and_ops` / `cyk.or_ops` counters
-    /// once per chart; with `TRACE = false` the accumulation compiles out.
+    /// Run the fill with the hardware `popcnt` instruction when the CPU
+    /// has it. Every hit ranks its right child inside a right block with
+    /// a popcount, and the default `x86-64` target compiles `count_ones`
+    /// to a ~12-op SWAR sequence. Both paths fill identical charts.
+    fn fill_dispatch<const TRACE: bool>(
+        g: &'g CnfGrammar,
+        index: &CykRuleIndex,
+        word: &[Terminal],
+    ) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if simd::backend() == simd::Backend::Avx2 {
+            // SAFETY: `Backend::Avx2` is only ever produced after runtime
+            // detection confirmed `popcnt` (and `avx2`).
+            return unsafe { Self::fill_popcnt::<TRACE>(g, index, word) };
+        }
+        Self::fill::<TRACE>(g, index, word)
+    }
+
+    /// [`CykChart::fill`] compiled with `popcnt` enabled.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `popcnt`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "popcnt")]
+    unsafe fn fill_popcnt<const TRACE: bool>(
+        g: &'g CnfGrammar,
+        index: &CykRuleIndex,
+        word: &[Terminal],
+    ) -> Self {
+        Self::fill::<TRACE>(g, index, word)
+    }
+
+    /// The bitset fill. With `TRACE`, the right blocks ANDed and the head
+    /// blocks ORed accumulate in locals and flush to the `cyk.and_ops` /
+    /// `cyk.or_ops` counters once per chart; with `TRACE = false` the
+    /// accumulation compiles out.
     ///
     /// The span loop is **cache-blocked**: for a fixed `(len, split)` the
     /// inner loop walks `i`, so the three rows it touches — the length-
@@ -150,9 +308,10 @@ impl<'g> CykChart<'g> {
     /// into the output cell (it starts zeroed), which also drops the old
     /// per-cell accumulator copy. Grammars with ≤ 64 non-terminals (one
     /// word per cell — the common case here) take a scalar-register fast
-    /// path; wider grammars combine cells block-wise, dispatching through
-    /// [`ucfg_support::simd`] once cells are wide enough for 256-bit
-    /// lanes.
+    /// path; wider grammars combine cells block-wise, touching only the
+    /// cell words that `B`'s right blocks and each pair's head blocks
+    /// name.
+    #[inline(always)]
     fn fill<const TRACE: bool>(g: &'g CnfGrammar, index: &CykRuleIndex, word: &[Terminal]) -> Self {
         let n = word.len();
         let wps = index.words_per_set;
@@ -186,15 +345,16 @@ impl<'g> CykChart<'g> {
                         while lbits != 0 {
                             let b = lbits.trailing_zeros() as usize;
                             lbits &= lbits - 1;
-                            let mut hits = index.c_masks[b] & rw;
+                            let blk = index.right[b];
+                            let mut hits = blk.mask & rw;
                             if TRACE {
                                 and_ops += 1;
                             }
                             while hits != 0 {
-                                let c = hits.trailing_zeros() as usize;
+                                let below = (hits - 1) & !hits;
                                 hits &= hits - 1;
-                                let off = index.a_offset[b * index.nts + c] as usize;
-                                out |= index.a_slab[off];
+                                let p = blk.pair + (blk.mask & below).count_ones();
+                                out |= index.head[p as usize].mask;
                                 if TRACE {
                                     or_ops += 1;
                                 }
@@ -215,27 +375,25 @@ impl<'g> CykChart<'g> {
                             while lbits != 0 {
                                 let b = bw * 64 + lbits.trailing_zeros() as usize;
                                 lbits &= lbits - 1;
-                                let c_mask = &index.c_masks[b * wps..][..wps];
+                                let blocks = index.right_start[b] as usize
+                                    ..index.right_start[b + 1] as usize;
                                 if TRACE {
-                                    and_ops += wps as u64;
+                                    and_ops += blocks.len() as u64;
                                 }
-                                for (cw, (&cm, &rw)) in c_mask.iter().zip(right.iter()).enumerate()
-                                {
-                                    let mut hits = cm & rw;
+                                for blk in &index.right[blocks] {
+                                    let mut hits = blk.mask & right[blk.word as usize];
                                     while hits != 0 {
-                                        let c = cw * 64 + hits.trailing_zeros() as usize;
+                                        let below = (hits - 1) & !hits;
                                         hits &= hits - 1;
-                                        let off = index.a_offset[b * index.nts + c] as usize;
-                                        let mask = &index.a_slab[off..][..wps];
+                                        let p =
+                                            (blk.pair + (blk.mask & below).count_ones()) as usize;
+                                        let heads = index.head_start[p] as usize
+                                            ..index.head_start[p + 1] as usize;
                                         if TRACE {
-                                            or_ops += wps as u64;
+                                            or_ops += heads.len() as u64;
                                         }
-                                        if wps >= 4 {
-                                            simd::or_assign(out, mask);
-                                        } else {
-                                            for (t, &m) in out.iter_mut().zip(mask) {
-                                                *t |= m;
-                                            }
+                                        for h in &index.head[heads] {
+                                            out[h.word as usize] |= h.mask;
                                         }
                                     }
                                 }

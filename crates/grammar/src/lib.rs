@@ -73,3 +73,8 @@ pub use builder::GrammarBuilder;
 pub use cfg::{Grammar, Rule};
 pub use normal_form::CnfGrammar;
 pub use symbol::{NonTerminal, Symbol, Terminal};
+
+/// Heap bytes a vector has allocated (its capacity, not its length).
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}

@@ -10,10 +10,11 @@
 //! the paper — the conversion is a parse-tree bijection, so it preserves
 //! unambiguity; this is verified by the counting tests in `count.rs`.
 
-use crate::analysis::{nullable, trim};
+use crate::analysis::{body_fixpoint, trim};
 use crate::cfg::{Grammar, Rule};
 use crate::symbol::{NonTerminal, Symbol, Terminal};
-use std::collections::{HashMap, HashSet};
+use crate::vec_bytes;
+use std::collections::HashMap;
 
 /// A grammar in Chomsky normal form.
 ///
@@ -30,6 +31,15 @@ pub struct CnfGrammar {
     bin_rules: Vec<(NonTerminal, NonTerminal, NonTerminal)>,
     term_by_lhs: Vec<Vec<Terminal>>,
     bin_by_lhs: Vec<Vec<(NonTerminal, NonTerminal)>>,
+}
+
+/// An ε-free rule body during conversion (TERM and BIN have already
+/// bounded bodies to one symbol or two non-terminals).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Body {
+    Term(Terminal),
+    Unit(NonTerminal),
+    Pair(NonTerminal, NonTerminal),
 }
 
 impl CnfGrammar {
@@ -138,86 +148,71 @@ impl CnfGrammar {
         let rules = bin_rules_acc;
 
         // ---- DEL: ε-elimination. Bodies now have length ≤ 2. ----
-        let tmp = Grammar::from_parts(alphabet.clone(), names.clone(), rules.clone(), g.start());
-        let null = nullable(&tmp);
-        let mut no_eps: HashSet<(NonTerminal, Vec<Symbol>)> = HashSet::new();
+        let null = body_fixpoint(names.len(), &rules, false);
+        let mut no_eps: Vec<(NonTerminal, Body)> = Vec::with_capacity(rules.len());
         for r in &rules {
-            match r.rhs.len() {
-                0 => {}
-                1 => {
-                    no_eps.insert((r.lhs, r.rhs.clone()));
-                }
-                2 => {
-                    no_eps.insert((r.lhs, r.rhs.clone()));
-                    for keep in 0..2usize {
-                        let drop = 1 - keep;
-                        if let Symbol::N(n) = r.rhs[drop] {
-                            if null[n.index()] {
-                                no_eps.insert((r.lhs, vec![r.rhs[keep]]));
-                            }
-                        }
+            match *r.rhs.as_slice() {
+                [] => {}
+                [Symbol::T(t)] => no_eps.push((r.lhs, Body::Term(t))),
+                [Symbol::N(b)] => no_eps.push((r.lhs, Body::Unit(b))),
+                // After TERM, length-2 bodies contain only non-terminals.
+                [Symbol::N(x), Symbol::N(y)] => {
+                    no_eps.push((r.lhs, Body::Pair(x, y)));
+                    if null[y.index()] {
+                        no_eps.push((r.lhs, Body::Unit(x)));
+                    }
+                    if null[x.index()] {
+                        no_eps.push((r.lhs, Body::Unit(y)));
                     }
                 }
-                _ => unreachable!("BIN bounded bodies by 2"),
+                _ => unreachable!("TERM and BIN leave bodies of length ≤ 2 without terminals"),
             }
         }
+        no_eps.sort_unstable();
+        no_eps.dedup();
         let accepts_epsilon = null[g.start().index()];
 
-        // ---- UNIT: eliminate A → B via transitive closure. ----
+        // ---- UNIT: eliminate A → B by expanding unit closures. ----
+        // Each node's closure (the B with A →* B over unit rules, A
+        // included) is one depth-first walk over the ε-free rules grouped
+        // by left-hand side, so the step costs the size of its output
+        // instead of a rule scan per (A, B) pair.
         let n_now = names.len();
-        // unit[a] = set of b with a →* b via unit rules (including a itself).
-        let mut unit: Vec<HashSet<usize>> = (0..n_now).map(|i| HashSet::from([i])).collect();
-        let mut changed = true;
-        let unit_edges: Vec<(usize, usize)> = no_eps
-            .iter()
-            .filter_map(|(a, rhs)| match rhs.as_slice() {
-                [Symbol::N(b)] => Some((a.index(), b.index())),
-                _ => None,
-            })
-            .collect();
-        while changed {
-            changed = false;
-            for &(a, b) in &unit_edges {
-                let bs: Vec<usize> = unit[b].iter().copied().collect();
-                for x in bs {
-                    if unit[a].insert(x) {
-                        changed = true;
+        let mut lhs_start = vec![0usize; n_now + 1];
+        for (lhs, _) in &no_eps {
+            lhs_start[lhs.index() + 1] += 1;
+        }
+        for a in 0..n_now {
+            lhs_start[a + 1] += lhs_start[a];
+        }
+        let mut term_rules: Vec<(NonTerminal, Terminal)> = Vec::new();
+        let mut bin_rules: Vec<(NonTerminal, NonTerminal, NonTerminal)> = Vec::new();
+        // `walked[b] == a` marks b as already in a's closure.
+        let mut walked = vec![usize::MAX; n_now];
+        let mut stack = Vec::new();
+        for a in 0..n_now {
+            let head = NonTerminal(a as u32);
+            walked[a] = a;
+            stack.push(a);
+            while let Some(b) = stack.pop() {
+                for &(_, body) in &no_eps[lhs_start[b]..lhs_start[b + 1]] {
+                    match body {
+                        Body::Term(t) => term_rules.push((head, t)),
+                        Body::Unit(c) => {
+                            if walked[c.index()] != a {
+                                walked[c.index()] = a;
+                                stack.push(c.index());
+                            }
+                        }
+                        Body::Pair(x, y) => bin_rules.push((head, x, y)),
                     }
                 }
             }
         }
-
-        let mut term_rules: HashSet<(NonTerminal, Terminal)> = HashSet::new();
-        let mut bin_rules: HashSet<(NonTerminal, NonTerminal, NonTerminal)> = HashSet::new();
-        for (a, unit_a) in unit.iter().enumerate().take(n_now) {
-            for &b in unit_a {
-                for (lhs, rhs) in &no_eps {
-                    if lhs.index() != b {
-                        continue;
-                    }
-                    match rhs.as_slice() {
-                        [Symbol::T(t)] => {
-                            term_rules.insert((NonTerminal(a as u32), *t));
-                        }
-                        [x, y] => {
-                            // After TERM, length-2 bodies contain only
-                            // non-terminals.
-                            let (Symbol::N(x), Symbol::N(y)) = (x, y) else {
-                                unreachable!("TERM removed terminals from long bodies")
-                            };
-                            bin_rules.insert((NonTerminal(a as u32), *x, *y));
-                        }
-                        [Symbol::N(_)] => {} // unit rule, dropped
-                        _ => unreachable!(),
-                    }
-                }
-            }
-        }
-
-        let mut term_rules: Vec<_> = term_rules.into_iter().collect();
-        term_rules.sort();
-        let mut bin_rules: Vec<_> = bin_rules.into_iter().collect();
-        bin_rules.sort();
+        term_rules.sort_unstable();
+        term_rules.dedup();
+        bin_rules.sort_unstable();
+        bin_rules.dedup();
         let cnf = CnfGrammar::from_rules(
             alphabet,
             names,
@@ -283,6 +278,20 @@ impl CnfGrammar {
     /// Number of rules.
     pub fn rule_count(&self) -> usize {
         self.term_rules.len() + self.bin_rules.len()
+    }
+
+    /// Bytes this grammar holds on the heap (allocated capacity of its
+    /// name strings, rule lists and per-head indexes).
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.alphabet)
+            + vec_bytes(&self.names)
+            + self.names.iter().map(String::capacity).sum::<usize>()
+            + vec_bytes(&self.term_rules)
+            + vec_bytes(&self.bin_rules)
+            + vec_bytes(&self.term_by_lhs)
+            + self.term_by_lhs.iter().map(vec_bytes).sum::<usize>()
+            + vec_bytes(&self.bin_by_lhs)
+            + self.bin_by_lhs.iter().map(vec_bytes).sum::<usize>()
     }
 
     /// Number of non-terminals.

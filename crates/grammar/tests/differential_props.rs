@@ -11,7 +11,7 @@
 //! cross-check relies on.
 
 use ucfg_grammar::count::TreeCounter;
-use ucfg_grammar::cyk::CykChart;
+use ucfg_grammar::cyk::{CykChart, CykRuleIndex};
 use ucfg_grammar::earley::Earley;
 use ucfg_grammar::language::language_up_to;
 use ucfg_grammar::{BigUint, CnfGrammar, Grammar, GrammarBuilder, NonTerminal, Symbol, Terminal};
@@ -43,6 +43,56 @@ fn rand_cnf(g: &mut Gen) -> CnfGrammar {
         names,
         NonTerminal(0),
         g.bool(),
+        term_rules,
+        bin_rules,
+    )
+}
+
+/// A random *wide* CNF grammar: 65–300 non-terminals, so every chart
+/// cell spans several 64-bit words. A few left children get right-child
+/// sets spread over every block, and each `(B, C)` pair gets up to four
+/// heads, so the block-sparse rule index sees multi-block right sets,
+/// multi-head pairs and heads in several blocks. The start symbol is
+/// over-represented among heads so some words are accepted.
+fn rand_wide_cnf(g: &mut Gen) -> CnfGrammar {
+    let nts = g.int_in(65usize..=300);
+    let blocks = nts.div_ceil(64);
+    let names = (0..nts).map(|i| format!("N{i}")).collect();
+    let nt = |g: &mut Gen| NonTerminal(g.rng().random_range(0..nts as u32));
+    let mut term_rules = Vec::new();
+    for a in 0..nts as u32 {
+        for t in 0..2u16 {
+            if g.rng().random_range(0..3u32) == 0 {
+                term_rules.push((NonTerminal(a), Terminal(t)));
+            }
+        }
+    }
+    let mut bin_rules = Vec::new();
+    for _ in 0..g.int_in(4usize..=12) {
+        let b = nt(g);
+        for block in 0..blocks {
+            let width = (nts - block * 64).min(64) as u32;
+            for _ in 0..g.int_in(0usize..=3) {
+                let c = NonTerminal(block as u32 * 64 + g.rng().random_range(0..width));
+                for _ in 0..g.int_in(1usize..=4) {
+                    let a = if g.rng().random_range(0..4u32) == 0 {
+                        NonTerminal(0)
+                    } else {
+                        nt(g)
+                    };
+                    bin_rules.push((a, b, c));
+                }
+            }
+        }
+    }
+    term_rules.sort();
+    bin_rules.sort();
+    bin_rules.dedup();
+    CnfGrammar::from_rules(
+        ALPHABET.to_vec(),
+        names,
+        NonTerminal(0),
+        false,
         term_rules,
         bin_rules,
     )
@@ -147,6 +197,32 @@ property! {
                 );
             }
         }
+    }
+
+    cases = 64;
+    /// On wide grammars (several words per cell) the block-sparse index
+    /// fill agrees with the scalar reference on every chart cell and on
+    /// the exact tree count.
+    fn wide_index_fill_matches_scalar(
+        cnf in rand_wide_cnf,
+        word in rand_word,
+    ) {
+        prop_assert!(cnf.nonterminal_count() > 64);
+        let index = CykRuleIndex::new(&cnf);
+        let fast = CykChart::build_with_index(&cnf, &index, &word);
+        let scalar = CykChart::build_scalar(&cnf, &word);
+        for len in 1..=word.len() {
+            for i in 0..=word.len() - len {
+                prop_assert_eq!(
+                    fast.nonterminals_at(i, len),
+                    scalar.nonterminals_at(i, len),
+                    "cell ({i}, {len}) diverges on {}",
+                    cnf.decode(&word)
+                );
+            }
+        }
+        prop_assert_eq!(fast.accepted(), scalar.accepted());
+        prop_assert_eq!(fast.count_trees(), scalar.count_trees());
     }
 
     cases = 96;

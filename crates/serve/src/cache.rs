@@ -6,7 +6,8 @@
 //! binary rebuilds on every run:
 //!
 //! - [`GrammarArtifact`] — the parsed [`Grammar`], its CNF conversion,
-//!   the flat-slab [`CykRuleIndex`], and the Earley nullable table;
+//!   the block-sparse [`CykRuleIndex`] (`O(nts + binary rules)` bytes),
+//!   and the Earley nullable table;
 //! - [`RectsArtifact`] — a materialised rectangle family for the
 //!   cover/discrepancy kernels.
 //!
@@ -21,9 +22,16 @@
 //! cache is one shard of a [`crate::shard::ShardSet`] (volatile
 //! because shard layout depends on `--shards`, which must not perturb
 //! the deterministic metrics stratum).
+//!
+//! Memory: the cache keeps the summed [`Artifact::heap_bytes`] of its
+//! entries, updated on every insert and eviction. It is readable
+//! without the cache lock ([`ArtifactCache::bytes_handle`], for
+//! `/healthz`) and mirrored into the volatile
+//! `serve.shard.<i>.cache.bytes` gauge.
 
 use crate::protocol::{ApiError, RectFamily, RectRequest};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use ucfg_core::cover::extraction_to_set_rectangles;
 use ucfg_core::extract::extract_cover;
@@ -47,7 +55,7 @@ pub struct GrammarArtifact {
     pub nullable: Vec<bool>,
     /// The Chomsky normal form the CYK chart parses with.
     pub cnf: CnfGrammar,
-    /// The flat-slab bitset rule index shared by every chart.
+    /// The block-sparse bitset rule index shared by every chart.
     pub index: CykRuleIndex,
 }
 
@@ -66,6 +74,15 @@ impl GrammarArtifact {
             cnf,
             index,
         })
+    }
+
+    /// Bytes this artifact holds on the heap: grammar, nullable table,
+    /// CNF and rule index.
+    pub fn heap_bytes(&self) -> usize {
+        self.grammar.heap_bytes()
+            + self.nullable.capacity()
+            + self.cnf.heap_bytes()
+            + self.index.heap_bytes()
     }
 
     /// An Earley recogniser borrowing this artifact's grammar and
@@ -99,6 +116,17 @@ impl RectsArtifact {
         };
         Ok(Arc::new(RectsArtifact { n: req.n, rects }))
     }
+
+    /// Heap bytes of the family's payload: the rectangle vector plus
+    /// one `u64` per side mask (B-tree node overhead is not counted).
+    pub fn heap_bytes(&self) -> usize {
+        self.rects.capacity() * std::mem::size_of::<SetRectangle>()
+            + self
+                .rects
+                .iter()
+                .map(|r| (r.s.len() + r.t.len()) * std::mem::size_of::<u64>())
+                .sum::<usize>()
+    }
 }
 
 /// A cached artifact (cheap to clone — contents are behind `Arc`s).
@@ -119,6 +147,14 @@ impl Artifact {
         }
     }
 
+    /// Bytes the artifact holds on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            Artifact::Grammar(g) => g.heap_bytes(),
+            Artifact::Rects(r) => r.heap_bytes(),
+        }
+    }
+
     /// The rectangle family, if that's what this is.
     pub fn as_rects(&self) -> Option<&Arc<RectsArtifact>> {
         match self {
@@ -131,6 +167,7 @@ impl Artifact {
 struct Entry {
     value: Artifact,
     last_used: u64,
+    bytes: usize,
 }
 
 /// An LRU map from content hash to compiled [`Artifact`].
@@ -139,8 +176,12 @@ pub struct ArtifactCache {
     tick: u64,
     entries: HashMap<u64, Entry>,
     /// `Some(i)` when this cache is shard `i` of a sharded server —
-    /// adds volatile per-shard hit/miss/eviction counters.
+    /// adds volatile per-shard hit/miss/eviction counters and the
+    /// per-shard bytes gauge.
     shard: Option<usize>,
+    /// Summed [`Artifact::heap_bytes`] of the entries, shared so it
+    /// can be read while a compile holds the cache lock.
+    bytes: Arc<AtomicUsize>,
 }
 
 impl ArtifactCache {
@@ -151,6 +192,7 @@ impl ArtifactCache {
             tick: 0,
             entries: HashMap::new(),
             shard: None,
+            bytes: Arc::new(AtomicUsize::new(0)),
         }
     }
 
@@ -171,6 +213,25 @@ impl ArtifactCache {
                 obs::vcounter(&format!("serve.shard.{i}.cache.{event}")).add(1);
             }
         }
+    }
+
+    /// Adjust the byte total and mirror it into this shard's volatile
+    /// `serve.shard.<i>.cache.bytes` gauge. Only the lock holder writes,
+    /// so a load and a store suffice.
+    fn account(&mut self, added: usize, removed: usize) {
+        let total = self.bytes.load(Ordering::Relaxed) + added - removed;
+        self.bytes.store(total, Ordering::Relaxed);
+        if let Some(i) = self.shard {
+            if obs::enabled() {
+                obs::vgauge(&format!("serve.shard.{i}.cache.bytes")).set(total as i64);
+            }
+        }
+    }
+
+    /// A lock-free reader of the heap bytes held by the cached
+    /// artifacts.
+    pub fn bytes_handle(&self) -> Arc<AtomicUsize> {
+        Arc::clone(&self.bytes)
     }
 
     /// Current number of cached artifacts.
@@ -203,13 +264,16 @@ impl ArtifactCache {
         obs::count!("serve.cache.misses");
         self.shard_count("misses");
         let value = build()?;
+        let bytes = value.heap_bytes();
         self.entries.insert(
             key,
             Entry {
                 value: value.clone(),
                 last_used: self.tick,
+                bytes,
             },
         );
+        let mut evicted = 0;
         while self.entries.len() > self.capacity {
             if let Some((&lru, _)) = self
                 .entries
@@ -217,13 +281,14 @@ impl ArtifactCache {
                 .filter(|(k, _)| **k != key)
                 .min_by_key(|(_, e)| e.last_used)
             {
-                self.entries.remove(&lru);
+                evicted += self.entries.remove(&lru).map_or(0, |e| e.bytes);
                 obs::count!("serve.cache.evictions");
                 self.shard_count("evictions");
             } else {
                 break;
             }
         }
+        self.account(bytes, evicted);
         Ok((value, false))
     }
 }
@@ -288,6 +353,43 @@ mod tests {
             .get_or_insert_with(2, || Ok(grammar_artifact("S -> b")))
             .unwrap();
         assert!(!hit2, "2 should have been evicted");
+    }
+
+    #[test]
+    fn byte_total_tracks_inserts_and_evictions() {
+        let mut c = ArtifactCache::with_shard(2, 7);
+        let reader = c.bytes_handle();
+        let bytes = || reader.load(Ordering::Relaxed);
+        assert_eq!(bytes(), 0);
+        let (a1, _) = c
+            .get_or_insert_with(1, || Ok(grammar_artifact("S -> a S b S | ()")))
+            .unwrap();
+        let b1 = a1.heap_bytes();
+        assert!(b1 > 0);
+        assert_eq!(bytes(), b1);
+        let (a2, _) = c
+            .get_or_insert_with(2, || Ok(grammar_artifact("S -> a")))
+            .unwrap();
+        assert_eq!(bytes(), b1 + a2.heap_bytes());
+        // Inserting a third entry evicts key 1 (the LRU).
+        obs::set_enabled(true);
+        let (a3, _) = c
+            .get_or_insert_with(3, || Ok(grammar_artifact("S -> a b")))
+            .unwrap();
+        let gauge = obs::vgauge("serve.shard.7.cache.bytes").value();
+        obs::set_enabled(false);
+        let expect = a2.heap_bytes() + a3.heap_bytes();
+        assert_eq!(bytes(), expect);
+        assert_eq!(gauge, expect as i64);
+    }
+
+    #[test]
+    fn grammar_artifact_bytes_cover_every_part() {
+        let art = GrammarArtifact::compile(
+            ucfg_grammar::text::parse_grammar("S -> a S b S | ()").unwrap(),
+        );
+        assert!(art.heap_bytes() > art.cnf.heap_bytes() + art.index.heap_bytes());
+        assert!(art.index.heap_bytes() > 0);
     }
 
     #[test]

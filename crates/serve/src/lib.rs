@@ -11,9 +11,10 @@
 //!
 //! * [`cache`] — a content-addressed **artifact cache**: FNV-1a content
 //!   hashes (`Grammar::content_hash`, rectangle-family keys) address an
-//!   LRU of compiled artifacts — CNF conversions, flat-slab
+//!   LRU of compiled artifacts — CNF conversions, block-sparse
 //!   `CykRuleIndex`es, Earley nullable tables, rectangle families — so
-//!   repeat queries skip compilation entirely;
+//!   repeat queries skip compilation entirely; per-shard heap bytes
+//!   are reported in `/healthz` and `/metrics`;
 //! * [`batch`] — a **batching scheduler**: queued `/parse` requests are
 //!   drained together, grouped by grammar hash, and run as one batch on
 //!   the deterministic `ucfg_support::par` pool, with a bounded queue

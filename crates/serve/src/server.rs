@@ -1094,11 +1094,18 @@ fn healthz(state: &State) -> String {
         .iter()
         .map(|s| Json::Int(s.sched.depth() as i64))
         .collect();
+    let cache_bytes: Vec<Json> = state
+        .shards
+        .cache_bytes()
+        .into_iter()
+        .map(|b| Json::Int(b as i64))
+        .collect();
     single_line(Json::obj(vec![
         ("status", Json::str("ok")),
         ("queue_depth", Json::Int(state.shards.queue_len() as i64)),
         ("shard_queue_depths", Json::Arr(depths)),
         ("shard_queue_capacities", Json::Arr(caps)),
+        ("shard_cache_bytes", Json::Arr(cache_bytes)),
         (
             "connections",
             Json::Int(state.connections.load(Ordering::SeqCst) as i64),
@@ -1590,5 +1597,34 @@ mod tests {
         let (_, body) = route_sync(&state, &get("/healthz"));
         let v = Json::parse(body.trim_end()).unwrap();
         assert_eq!(v.get("stream_sessions"), Some(&Json::Int(1)));
+    }
+
+    #[test]
+    fn healthz_reports_per_shard_cache_bytes() {
+        let state = test_state(8, 1000);
+        let cache_bytes = |state: &Arc<State>| -> Vec<i64> {
+            let (_, body) = route_sync(state, &get("/healthz"));
+            let v = Json::parse(body.trim_end()).unwrap();
+            let Some(Json::Arr(bytes)) = v.get("shard_cache_bytes") else {
+                panic!("missing shard_cache_bytes: {body}");
+            };
+            bytes
+                .iter()
+                .map(|b| match b {
+                    Json::Int(n) => *n,
+                    other => panic!("non-integer byte count {other:?}"),
+                })
+                .collect()
+        };
+        let before = cache_bytes(&state);
+        assert_eq!(before.len(), state.shards.len());
+        assert!(before.iter().all(|&b| b == 0), "{before:?}");
+        let (status, _) = route_sync(
+            &state,
+            &post("/parse", r#"{"builtin":"example4","n":4,"word":"abab"}"#),
+        );
+        assert_eq!(status, 200);
+        let after = cache_bytes(&state);
+        assert!(after.iter().sum::<i64>() > 0, "{after:?}");
     }
 }

@@ -23,6 +23,7 @@
 use crate::batch::{Scheduler, SessionStore, MAX_SESSIONS_PER_SHARD};
 use crate::cache::ArtifactCache;
 use std::io;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -34,6 +35,9 @@ pub struct Shard {
     pub index: usize,
     /// This shard's slice of the artifact cache.
     pub cache: Mutex<ArtifactCache>,
+    /// Heap bytes held by this shard's cache, readable without the
+    /// cache lock (a compile holds it for the whole build).
+    pub cache_bytes: Arc<AtomicUsize>,
     /// This shard's bounded batch queue.
     pub sched: Scheduler,
     /// This shard's live stream sessions (rendezvous-routed by the
@@ -60,9 +64,11 @@ impl ShardSet {
         let per_shard_cache = cache_capacity.div_ceil(count);
         let shards = (0..count)
             .map(|index| {
+                let cache = ArtifactCache::with_shard(per_shard_cache, index);
                 Arc::new(Shard {
                     index,
-                    cache: Mutex::new(ArtifactCache::with_shard(per_shard_cache, index)),
+                    cache_bytes: cache.bytes_handle(),
+                    cache: Mutex::new(cache),
                     sched: Scheduler::new(queue_depth, deadline),
                     sessions: Mutex::new(SessionStore::new(MAX_SESSIONS_PER_SHARD)),
                 })
@@ -99,6 +105,14 @@ impl ShardSet {
     /// Total queued jobs across shards (for `/healthz`).
     pub fn queue_len(&self) -> usize {
         self.shards.iter().map(|s| s.sched.queue_len()).sum()
+    }
+
+    /// Heap bytes held by each shard's artifact cache (for `/healthz`).
+    pub fn cache_bytes(&self) -> Vec<usize> {
+        self.shards
+            .iter()
+            .map(|s| s.cache_bytes.load(Ordering::Relaxed))
+            .collect()
     }
 
     /// Total live stream sessions across shards (for `/healthz`).

@@ -13,7 +13,7 @@ use crate::product::ProductQuery;
 use crate::window::WindowParser;
 use std::fmt;
 use std::sync::Arc;
-use ucfg_grammar::cyk::CykChart;
+use ucfg_grammar::cyk::{CykChart, CykRuleIndex};
 use ucfg_grammar::normal_form::CnfGrammar;
 use ucfg_grammar::symbol::Terminal;
 use ucfg_grammar::Grammar;
@@ -112,6 +112,8 @@ pub struct StreamSession {
     window: WindowParser,
     product: Option<ProductQuery>,
     cnf: CnfGrammar,
+    /// Built once at open and shared by every query's chart.
+    index: CykRuleIndex,
 }
 
 /// Derive the deterministic session id from the opening parameters.
@@ -150,6 +152,7 @@ impl StreamSession {
             None => None,
         };
         let cnf = CnfGrammar::from_grammar(&g);
+        let index = CykRuleIndex::new(&cnf);
         let window = WindowParser::new(Arc::clone(&g), capacity);
         if obs::enabled() {
             obs::counter("stream.sessions").add(1);
@@ -160,6 +163,7 @@ impl StreamSession {
             window,
             product,
             cnf,
+            index,
         })
     }
 
@@ -239,7 +243,9 @@ impl StreamSession {
         let tokens = self.window.window();
         let window: String = self.g.decode(&tokens);
         let count = match self.cnf.encode(&window) {
-            Some(w) => CykChart::build(&self.cnf, &w).count_trees().to_string(),
+            Some(w) => CykChart::build_with_index(&self.cnf, &self.index, &w)
+                .count_trees()
+                .to_string(),
             None => "0".to_string(),
         };
         let product = self.product.as_ref().map(|q| ProductReport {

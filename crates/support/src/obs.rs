@@ -196,7 +196,7 @@ impl Histogram {
 // Registry
 // ---------------------------------------------------------------------------
 
-/// The four namespaces of the process-wide registry. Instruments are
+/// The five namespaces of the process-wide registry. Instruments are
 /// interned on first use (leaked, so handles are `&'static` and can be
 /// cached in call-site statics) and exported in `BTreeMap` (= sorted
 /// key) order.
@@ -204,6 +204,7 @@ struct Registry {
     counters: Mutex<BTreeMap<String, &'static Counter>>,
     gauges: Mutex<BTreeMap<String, &'static Gauge>>,
     vcounters: Mutex<BTreeMap<String, &'static Counter>>,
+    vgauges: Mutex<BTreeMap<String, &'static Gauge>>,
     histograms: Mutex<BTreeMap<String, &'static Histogram>>,
 }
 
@@ -213,6 +214,7 @@ fn registry() -> &'static Registry {
         counters: Mutex::new(BTreeMap::new()),
         gauges: Mutex::new(BTreeMap::new()),
         vcounters: Mutex::new(BTreeMap::new()),
+        vgauges: Mutex::new(BTreeMap::new()),
         histograms: Mutex::new(BTreeMap::new()),
     })
 }
@@ -237,6 +239,13 @@ pub fn counter(name: &str) -> &'static Counter {
 /// legitimately vary run to run (e.g. serial-path hits).
 pub fn vcounter(name: &str) -> &'static Counter {
     intern(&registry().vcounters, name)
+}
+
+/// Intern (or fetch) the **volatile** gauge `name`: a level that may
+/// legitimately differ between runs or layouts (e.g. bytes held by one
+/// shard's cache).
+pub fn vgauge(name: &str) -> &'static Gauge {
+    intern(&registry().vgauges, name)
 }
 
 /// Intern (or fetch) the deterministic gauge `name`.
@@ -415,6 +424,7 @@ pub use crate::obs_vcount as vcount;
 ///   "gauges": { "wordset.cache.bytes": 4096, ... },
 ///   "volatile": {
 ///     "counters": { "par.serial_hits": 2, ... },
+///     "gauges": { "serve.shard.0.cache.bytes": 81920, ... },
 ///     "timings": { "cyk.fill": {"count":7,"total_ns":...}, ... }
 ///   }
 /// }
@@ -436,6 +446,8 @@ pub fn export_json(bin: &str) -> String {
     out.push_str("  \"volatile\": {\n");
     let vcounters = snapshot(&reg.vcounters, Counter::value);
     write_map(&mut out, 2, "counters", &vcounters, u64_json, true);
+    let vgauges = snapshot(&reg.vgauges, Gauge::value);
+    write_map(&mut out, 2, "gauges", &vgauges, i64_json, true);
     let timings = snapshot(&reg.histograms, hist_json);
     write_map(&mut out, 2, "timings", &timings, String::clone, false);
     out.push_str("  }\n");
@@ -545,7 +557,9 @@ pub fn summary() -> String {
             let _ = writeln!(out, "  {name:<40} {v:>12}");
         }
     }
-    for (name, v) in snapshot(&reg.gauges, Gauge::value) {
+    let gauges = snapshot(&reg.gauges, Gauge::value);
+    let vgauges = snapshot(&reg.vgauges, Gauge::value);
+    for (name, v) in gauges.iter().chain(vgauges.iter()) {
         let _ = writeln!(out, "  {name:<40} {v:>12}");
     }
     let hists = snapshot(&reg.histograms, |h: &Histogram| {
@@ -680,6 +694,7 @@ mod tests {
         count!("test.export.a", 1);
         gauge_set!("test.export.g", -7);
         vcount!("test.export.v", 3);
+        vgauge("test.export.vg").set(11);
         record!("test.export.t", 5);
         set_enabled(false);
         let json = export_json("unit");
@@ -689,6 +704,11 @@ mod tests {
         let vol = json.find("\"volatile\"").expect("volatile section");
         assert!(vol > a && vol > json.find("\"test.export.g\": -7").expect("gauge exported"));
         assert!(json.find("\"test.export.v\"").expect("vcounter exported") > vol);
+        assert!(
+            json.find("\"test.export.vg\": 11")
+                .expect("vgauge exported")
+                > vol
+        );
         assert!(json.find("\"test.export.t\"").expect("timing exported") > vol);
         assert!(json.trim_end().ends_with('}'));
         // The deterministic prefix is everything before the volatile line.
@@ -698,6 +718,7 @@ mod tests {
             .collect();
         assert!(prefix.contains("test.export.a"));
         assert!(!prefix.contains("test.export.v"));
+        assert!(!export_deterministic("unit").contains("test.export.vg"));
     }
 
     #[test]
