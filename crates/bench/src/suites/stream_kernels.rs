@@ -8,7 +8,9 @@
 //!   close the new one, evict the front — work bounded by the chart
 //!   delta, not the window);
 //! * `append/full_reparse/wW` — what the same arrival costs without the
-//!   subsystem: re-recognize the whole `W`-token window from scratch;
+//!   subsystem: re-recognize the whole `W`-token window from scratch
+//!   (`Earley::recognize` appends every token to a fresh chart of the
+//!   same type, so the ratio compares like with like);
 //! * `product/sync/wW` — the `CFG ∩ regex` layer's per-token cost: push
 //!   the token through the tracked DFA states and re-sync suffixes.
 //!

@@ -34,6 +34,5 @@ pub mod convert;
 pub mod csv_scenario;
 pub mod join;
 pub mod ordering;
-pub mod select;
 
 pub use circuit::{Circuit, CircuitBuilder, Node};

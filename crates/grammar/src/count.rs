@@ -251,7 +251,7 @@ pub fn ambiguity_profile(g: &Grammar) -> Result<Vec<(String, BigUint)>, CounterE
 
 /// `table[A][l-1]` = number of parse trees deriving some word of length
 /// `l ∈ 1..=max_len` from non-terminal `A` (the DP behind
-/// [`derivation_counts_by_length`] and the tree sampler).
+/// [`derivation_counts_by_length`]).
 pub fn tree_count_table(g: &CnfGrammar, max_len: usize) -> Vec<Vec<BigUint>> {
     let nts = g.nonterminal_count();
     let mut t: Vec<Vec<BigUint>> = vec![vec![BigUint::zero(); max_len]; nts];

@@ -11,16 +11,14 @@
 //! * [`normal_form`] — Chomsky normal form with the `≤ |G|²` conversion the
 //!   paper assumes w.l.o.g.;
 //! * [`cyk`] / [`earley`] / [`parse_tree`] — parsing, parse-tree counting
-//!   and enumeration (the notions behind unambiguity);
+//!   and enumeration (the notions behind unambiguity); [`earley`] is the
+//!   workspace's one Earley engine, a growable chart that batch
+//!   recognition and the `ucfg-stream` parsers share;
 //! * [`language`] / [`count`] — finite-language materialisation and the
 //!   *decision procedure for unambiguity* used to machine-check every
 //!   "uCFG" claim in the experiments;
 //! * [`annotated`] — the Lemma 10 position-annotation `G → G'` with
 //!   `|G'| ≤ n|G|`;
-//! * [`sample`] — uniform parse-tree/word sampling (an algorithmic benefit
-//!   of unambiguity);
-//! * [`slp`] — straight-line programs (grammar-based compression, the
-//!   related-work contrast);
 //! * [`bignum`] — the arbitrary-precision arithmetic all counting rests on.
 //!
 //! # Example
@@ -53,17 +51,13 @@ pub mod builder;
 pub mod cfg;
 pub mod count;
 pub mod cyk;
-pub mod derivation;
 pub mod earley;
-pub mod enumerate;
 pub mod language;
 pub mod lint;
 pub mod metrics;
 pub mod normal_form;
 pub mod ops;
 pub mod parse_tree;
-pub mod sample;
-pub mod slp;
 pub mod symbol;
 pub mod text;
 pub mod weighted;

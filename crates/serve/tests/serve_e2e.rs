@@ -166,6 +166,15 @@ fn end_to_end() {
     let m = c.request("GET", "/metrics", None).expect("metrics");
     assert!(m.body.contains("\"serve.requests.parse\""));
     assert!(m.body.contains("\"volatile\""));
+    // The `"check":true` parses above ran the Earley cross-check on the
+    // chart the stream layer also uses, with no stream traffic at all:
+    // the deterministic `stream.*` counters must not have moved.
+    let metrics = Json::parse(m.body.trim_end()).unwrap();
+    let counters = metrics.get("counters").expect("counters");
+    for name in ["stream.tokens", "stream.chart_cells_reused"] {
+        let v = counters.get(name).and_then(Json::as_i64).unwrap_or(0);
+        assert_eq!(v, 0, "{name} moved by batch cross-checks alone");
+    }
     let d = c
         .request("GET", "/metrics/deterministic", None)
         .expect("metrics det");

@@ -1,10 +1,11 @@
 //! Pillar 1: the incremental Earley parser over an append-only token
 //! stream, with explicit checkpoint/rewind.
 
-use crate::engine::Chart;
 use std::sync::Arc;
+use ucfg_grammar::earley::Chart;
 use ucfg_grammar::symbol::Terminal;
 use ucfg_grammar::Grammar;
+use ucfg_support::obs;
 
 /// A resumable position in a [`StreamParser`]'s history, returned by
 /// [`StreamParser::checkpoint`] and consumed by
@@ -39,14 +40,14 @@ pub struct Checkpoint(pub u64);
 /// assert!(p.accepted());
 /// ```
 pub struct StreamParser {
-    chart: Chart,
+    chart: Chart<Arc<Grammar>>,
 }
 
 impl StreamParser {
     /// An empty stream over `g` (the empty prefix is already parsed).
     pub fn new(g: Arc<Grammar>) -> StreamParser {
         StreamParser {
-            chart: Chart::new(g, false),
+            chart: Chart::new(g, None, false),
         }
     }
 
@@ -57,6 +58,7 @@ impl StreamParser {
 
     /// Append one token, extending the chart by one closed set.
     pub fn append(&mut self, t: Terminal) {
+        count_append(self.chart.cells());
         self.chart.append(t);
     }
 
@@ -123,6 +125,16 @@ impl StreamParser {
     /// land on the same chart a from-scratch parse builds.
     pub fn fingerprint(&self) -> u64 {
         self.chart.fingerprint()
+    }
+}
+
+/// Record one streamed token and the chart items its append reuses.
+/// Kept out of the grammar-crate chart so batch recognition (the serve
+/// cross-check) never moves the `stream.*` counters.
+pub(crate) fn count_append(reused_cells: u64) {
+    if obs::enabled() {
+        obs::counter("stream.tokens").add(1);
+        obs::counter("stream.chart_cells_reused").add(reused_cells);
     }
 }
 

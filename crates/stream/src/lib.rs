@@ -22,6 +22,12 @@
 //!   operate on, bundling a window, an optional product query, and an
 //!   exact tree counter.
 //!
+//! Both parsers wrap `ucfg_grammar::earley::Chart`, the workspace's one
+//! Earley engine (batch recognition appends a whole word to the same
+//! chart). What this crate adds is the stream bookkeeping: window
+//! eviction and pruning, checkpoints, and the `stream.tokens` /
+//! `stream.chart_cells_reused` counters, which only stream appends move.
+//!
 //! Everything is deterministic: session ids are FNV digests of the
 //! opening parameters, and every report is a pure function of the token
 //! history — the serve layer's byte-identical-across-shards contract
@@ -29,7 +35,6 @@
 
 #![warn(missing_docs)]
 
-pub(crate) mod engine;
 pub mod incremental;
 pub mod product;
 pub mod session;

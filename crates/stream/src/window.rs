@@ -15,8 +15,9 @@
 //! pruning stragglers) never changes an answer about origins the window
 //! still covers.
 
-use crate::engine::Chart;
+use crate::incremental::count_append;
 use std::sync::Arc;
+use ucfg_grammar::earley::Chart;
 use ucfg_grammar::symbol::Terminal;
 use ucfg_grammar::Grammar;
 
@@ -38,7 +39,7 @@ use ucfg_grammar::Grammar;
 /// assert_eq!(w.suffix_match_count(), 2);
 /// ```
 pub struct WindowParser {
-    chart: Chart,
+    chart: Chart<Arc<Grammar>>,
     capacity: usize,
     /// Evictions since the last prune (amortises prune cost).
     evicted_since_prune: usize,
@@ -49,7 +50,7 @@ impl WindowParser {
     pub fn new(g: Arc<Grammar>, capacity: usize) -> WindowParser {
         assert!(capacity >= 1, "window capacity must be at least 1");
         WindowParser {
-            chart: Chart::new(g, true),
+            chart: Chart::new(g, None, true),
             capacity,
             evicted_since_prune: 0,
         }
@@ -88,6 +89,7 @@ impl WindowParser {
     /// Push one token; returns the number of tokens evicted from the
     /// front (0 until the window fills, then 1 per push).
     pub fn push(&mut self, t: Terminal) -> usize {
+        count_append(self.chart.cells());
         self.chart.append(t);
         let mut evicted = 0;
         while self.chart.len() > self.capacity {
@@ -95,7 +97,7 @@ impl WindowParser {
             evicted += 1;
         }
         // Amortised prune: stale pre-base items are skipped by the
-        // engine, but dropping them every half-capacity slides keeps
+        // chart, but dropping them every half-capacity slides keeps
         // per-set sizes proportional to the window.
         self.evicted_since_prune += evicted;
         if self.evicted_since_prune >= self.capacity.div_ceil(2) {

@@ -1,18 +1,18 @@
 //! Differential property tests for the streaming subsystem.
 //!
-//! The incremental engine re-implements Earley's chart construction
-//! with append/truncate/evict deltas; these tests pin it to the
-//! from-scratch kernels on random general grammars and random streams:
+//! The streaming parsers drive `ucfg_grammar::earley::Chart` through
+//! append/truncate/evict deltas; these tests pin them to from-scratch
+//! parses on random general grammars and random streams. The membership
+//! oracle is the scalar CYK fill over the grammar's CNF — a different
+//! algorithm from the Earley chart under test:
 //!
 //! * a chart grown by k appends is *identical* (same items at every
 //!   position, same cell count) to the chart a fresh parse of the same
-//!   tokens builds, and both agree with `ucfg_grammar::earley` on
-//!   membership at every prefix;
+//!   tokens builds, and agrees with CYK on membership at every prefix;
 //! * truncate/rewind round-trips land on the checkpointed chart
 //!   fingerprint exactly, no matter what streamed in between;
 //! * sliding-window membership, suffix counts, and `CFG ∩ regex` match
-//!   counts agree with brute-force full reparses of every window
-//!   suffix;
+//!   counts agree with brute-force CYK parses of every window suffix;
 //! * everything above is bit-identical across `par` thread counts
 //!   1 / 2 / 8 — the streaming layer is deterministic under the same
 //!   knob the serve matrix varies.
@@ -20,8 +20,8 @@
 use std::sync::Arc;
 use ucfg_automata::dfa::Dfa;
 use ucfg_automata::regex::Regex;
-use ucfg_grammar::earley::Earley;
-use ucfg_grammar::{Grammar, GrammarBuilder, NonTerminal, Symbol, Terminal};
+use ucfg_grammar::cyk::CykChart;
+use ucfg_grammar::{CnfGrammar, Grammar, GrammarBuilder, NonTerminal, Symbol, Terminal};
 use ucfg_stream::{ProductQuery, StreamParser, StreamSession, WindowParser};
 use ucfg_support::prop::Gen;
 use ucfg_support::rng::Rng;
@@ -58,6 +58,16 @@ fn rand_grammar(g: &mut Gen) -> Arc<Grammar> {
     Arc::new(b.build(ids[0]))
 }
 
+/// Is `word` in the language of `cnf`? The scalar CYK fill answers
+/// non-empty words; the CNF's empty-word flag answers the empty one.
+fn cyk_member(cnf: &CnfGrammar, word: &[Terminal]) -> bool {
+    if word.is_empty() {
+        cnf.accepts_epsilon()
+    } else {
+        CykChart::build_scalar(cnf, word).accepted()
+    }
+}
+
 /// A random token stream over {a, b}, length 0..=12.
 fn rand_stream(g: &mut Gen) -> Vec<Terminal> {
     g.vec_of(0..13, |g| Terminal(g.rng().random_range(0..2u16)))
@@ -85,18 +95,19 @@ fn rand_edits(g: &mut Gen) -> Vec<Edit> {
 property! {
     cases = 96;
     /// k appends build the same chart a from-scratch parse builds, and
-    /// agree with the batch Earley recogniser at every prefix.
+    /// agree with CYK membership at every prefix.
     fn appends_equal_full_reparse(
         g in rand_grammar,
         stream in rand_stream,
     ) {
-        let e = Earley::new(&g);
+        let cnf = CnfGrammar::from_grammar(&g);
         let mut p = StreamParser::new(Arc::clone(&g));
+        prop_assert_eq!(p.accepted(), cnf.accepts_epsilon(), "empty prefix");
         for (i, &t) in stream.iter().enumerate() {
             p.append(t);
             prop_assert_eq!(
                 p.accepted(),
-                e.recognize(&stream[..=i]),
+                cyk_member(&cnf, &stream[..=i]),
                 "prefix of length {}",
                 i + 1
             );
@@ -147,14 +158,14 @@ property! {
 
     cases = 64;
     /// Sliding-window membership, suffix counts, and product-query match
-    /// counts agree with brute-force reparses at every slide.
+    /// counts agree with brute-force CYK parses at every slide.
     fn window_and_product_equal_brute_force(
         g in rand_grammar,
         stream in rand_stream,
         cap in |g: &mut Gen| g.int_in(1usize..=5),
         ri in |g: &mut Gen| g.int_in(0usize..REGEXES.len()),
     ) {
-        let e = Earley::new(&g);
+        let cnf = CnfGrammar::from_grammar(&g);
         let regex = REGEXES[ri];
         let dfa = Dfa::from_nfa(&Regex::parse(regex).unwrap().glushkov());
         let mut w = WindowParser::new(Arc::clone(&g), cap);
@@ -168,11 +179,7 @@ property! {
             let mut product_matches = 0usize;
             for j in lo..=i + 1 {
                 let suffix = &stream[j..=i];
-                let member = if suffix.is_empty() {
-                    e.recognize(&[])
-                } else {
-                    e.recognize(suffix)
-                };
+                let member = cyk_member(&cnf, suffix);
                 prop_assert_eq!(w.suffix_member(j as u64), member, "suffix at {j}");
                 suffix_members += usize::from(member);
                 let text: String = suffix.iter().map(|&t| ALPHABET[t.index()]).collect();
@@ -180,7 +187,7 @@ property! {
             }
             prop_assert_eq!(w.suffix_match_count(), suffix_members);
             prop_assert_eq!(q.window_matches(&w), product_matches);
-            prop_assert_eq!(w.current_member(), e.recognize(&stream[lo..=i]));
+            prop_assert_eq!(w.current_member(), cyk_member(&cnf, &stream[lo..=i]));
         }
     }
 }

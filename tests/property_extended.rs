@@ -1,21 +1,19 @@
 //! Property tests for the extension modules: regexes vs the Glushkov
-//! construction, grammar combinators, semiring counting, rank/unrank,
-//! SLP random access, and the grammar text format. Runs on the in-tree
+//! construction, grammar combinators, semiring counting, parser
+//! agreement, and the grammar text format. Runs on the in-tree
 //! `ucfg_support::prop` harness.
 
 use std::collections::BTreeSet;
 use ucfg_automata::regex::Regex;
 use ucfg_grammar::bignum::BigUint;
 use ucfg_grammar::count::TreeCounter;
-use ucfg_grammar::enumerate::Unranker;
 use ucfg_grammar::language::finite_language;
 use ucfg_grammar::normal_form::CnfGrammar;
 use ucfg_grammar::ops;
-use ucfg_grammar::slp::Slp;
 use ucfg_grammar::text::{parse_grammar, print_grammar};
 use ucfg_grammar::weighted::{inside_at, Count, UnitWeights};
 use ucfg_grammar::GrammarBuilder;
-use ucfg_support::prop::{CaseError, Gen};
+use ucfg_support::prop::Gen;
 use ucfg_support::{prop_assert, prop_assert_eq, property};
 
 // ---------- Random regexes vs the Glushkov automaton ----------
@@ -122,26 +120,6 @@ property! {
     }
 
     cases = 48;
-    fn unrank_rank_roundtrip_random_grammars(w1 in arb_words) {
-        let g = literal_grammar(&w1);
-        let cnf = CnfGrammar::from_grammar(&g);
-        let u = Unranker::new(&cnf, 4);
-        for len in 1..=4usize {
-            let total = u.total(len).to_u64().unwrap();
-            let mut seen = BTreeSet::new();
-            for i in 0..total {
-                let idx = BigUint::from_u64(i);
-                let t = u.unrank(len, &idx).unwrap();
-                prop_assert_eq!(u.rank(&t), Some(idx));
-                seen.insert(t.yield_terminals());
-            }
-            // Literal grammars are unambiguous → trees biject with words.
-            let expect = w1.iter().filter(|w| w.chars().count() == len).count();
-            prop_assert_eq!(seen.len(), expect, "len {}", len);
-        }
-    }
-
-    cases = 48;
     fn text_format_roundtrip(w1 in arb_words) {
         let g = literal_grammar(&w1);
         let printed = print_grammar(&g);
@@ -180,33 +158,6 @@ property! {
     }
 }
 
-// ---------- SLP random access ----------
-
-property! {
-    cases = 48;
-    fn slp_char_at_matches_expansion(
-        w in |g: &mut Gen| g.string_of(&['a', 'b'], 1..=12),
-    ) {
-        let slp = Slp::literal(&['a', 'b'], &w);
-        let expanded: Vec<char> = slp.expand().chars().collect();
-        prop_assert_eq!(&expanded, &w.chars().collect::<Vec<_>>());
-        for (i, &c) in expanded.iter().enumerate() {
-            prop_assert_eq!(slp.char_at(i as u64), Some(c));
-        }
-        prop_assert_eq!(slp.char_at(expanded.len() as u64), None);
-    }
-
-    cases = 48;
-    fn slp_unary_length(m in |g: &mut Gen| g.int_in(1u64..2000)) {
-        let slp = Slp::unary('a', m);
-        prop_assert_eq!(slp.word_length().to_u64(), Some(m));
-        prop_assert_eq!(slp.char_at(m - 1), Some('a'));
-        prop_assert_eq!(slp.char_at(m), None);
-        // Logarithmic size.
-        prop_assert!(slp.size() <= 3 * 12 + 4);
-    }
-}
-
 // ---------- Proposition 7 on random unambiguous grammars ----------
 
 property! {
@@ -224,74 +175,6 @@ property! {
         prop_assert!(res.is_disjoint(), "uCFG extraction must be disjoint");
         prop_assert!(res.all_balanced());
         prop_assert!(res.rectangles.len() <= res.bound);
-    }
-
-    cases = 32;
-    fn selection_on_random_join_circuits(seed in |g: &mut Gen| g.int_in(0u64..1000)) {
-        return check_selection_on_join_circuits(seed);
-    }
-}
-
-/// The body of `selection_on_random_join_circuits`, factored out so the
-/// historical regression seed can be pinned as an explicit test below.
-fn check_selection_on_join_circuits(seed: u64) -> Result<(), CaseError> {
-    use ucfg_factorized::join::{factorized_path_join, BinaryRelation};
-    use ucfg_factorized::select::{project_out, select_position};
-    // Deterministic pseudo-random 2-layer chain.
-    let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
-    let mut next = move || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        s
-    };
-    let pairs1: Vec<(u32, u32)> = (0..6)
-        .map(|_| ((next() % 3) as u32, (next() % 3) as u32))
-        .collect();
-    let pairs2: Vec<(u32, u32)> = (0..6)
-        .map(|_| ((next() % 3) as u32, (next() % 3) as u32))
-        .collect();
-    let rels = vec![
-        BinaryRelation::from_pairs(pairs1),
-        BinaryRelation::from_pairs(pairs2),
-    ];
-    let circ = factorized_path_join(&rels);
-    let lang = circ.language();
-    if lang.is_empty() {
-        return Ok(());
-    }
-    for pos in 0..3usize {
-        // Selection agrees with the materialised filter.
-        let sel = select_position(&circ, pos, '1').unwrap();
-        let expect: BTreeSet<String> = lang
-            .iter()
-            .filter(|w| w.as_bytes()[pos] == b'1')
-            .cloned()
-            .collect();
-        prop_assert_eq!(sel.language(), expect);
-        // Projection agrees with materialised deletion.
-        let proj = project_out(&circ, pos).unwrap();
-        let expect: BTreeSet<String> = lang
-            .iter()
-            .map(|w| {
-                w.chars()
-                    .enumerate()
-                    .filter(|&(i, _)| i != pos)
-                    .map(|(_, c)| c)
-                    .collect()
-            })
-            .collect();
-        prop_assert_eq!(proj.language(), expect);
-    }
-    Ok(())
-}
-
-/// Historical shrink from the proptest era (`property_extended.proptest-regressions`
-/// recorded "shrinks to seed = 159"): keep it pinned forever.
-#[test]
-fn selection_on_join_circuits_regression_seed_159() {
-    if let Err(e) = check_selection_on_join_circuits(159) {
-        panic!("regression seed 159 failed: {e}");
     }
 }
 
