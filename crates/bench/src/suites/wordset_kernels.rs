@@ -43,6 +43,13 @@ fn bench_verify_cover(suite: &mut Suite) {
             verify_cover_threads(black_box(n), &rects, 1).covers_exactly
         });
     }
+    // The case that dominates the `certify` load mix; the scalar scan
+    // is far too slow to bench beside it.
+    let n = 12usize;
+    let rects = example8_cover(n);
+    g.bench(&format!("bitmap/{n}"), || {
+        verify_cover_threads(black_box(n), &rects, 1).covers_exactly
+    });
 }
 
 fn bench_discrepancy(suite: &mut Suite) {
@@ -149,9 +156,12 @@ fn bench_gray_scan_full_cap(suite: &mut Suite) {
 fn bench_chunked(suite: &mut Suite) {
     use ucfg_core::cover::cover_scan_threads;
     use ucfg_core::wordset::chunked::{cover_scan_chunked_threads, logical_word_domain, ChunkPlan};
-    // The streamed path against the in-memory pass on the same input, at
-    // an n where both run: the delta is the price of chunking (extra
-    // `L_n` rebuild per chunk, no cached bitmap), paid to go past the cap.
+    // The default blocked scan (`in_memory/*`, a name kept so the rows
+    // stay gated against their history: it now times `cover_scan_threads`
+    // at its 2^18-bit blocks) against the same scan at explicit block
+    // sizes. The delta is the price of a block size away from the
+    // cache-sized default: more per-block setup at 2^16, bitmaps that
+    // spill the cache at 2^20.
     let t = par_threads();
     let mut g = suite.group("chunked");
     for n in [10usize, 12] {

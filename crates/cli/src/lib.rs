@@ -245,13 +245,12 @@ pub fn cmd_rank(n: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `ucfg cover <n>` — verify the Example 8 cover of `L_n` through the
-/// [`ucfg_core::wordset::chunked::WordSetSource`] routing: in-memory
-/// below the materialisation cap, chunked above it or whenever
-/// `--chunk-bits` / `UCFG_WORDSET_CHUNK` forces streaming. The scan line
-/// names the source, so logs show which path ran; everything below it is
-/// byte-identical across thread counts, chunk sizes, and the
-/// in-memory/chunked split — the CI determinism job byte-compares these
+/// `ucfg cover <n>` — verify the Example 8 cover of `L_n` with the
+/// blocked cover scan: the word domain streams in blocks of
+/// [`ucfg_core::wordset::chunked::COVER_BLOCK_BITS`], or of
+/// `--chunk-bits` / `UCFG_WORDSET_CHUNK` when set. The banner line names
+/// the block plan; everything below it is byte-identical across thread
+/// counts and block sizes — the CI determinism job byte-compares these
 /// lines.
 pub fn cmd_cover(n: &str) -> Result<String, CliError> {
     let n = parse_n(n)?;
@@ -259,11 +258,11 @@ pub fn cmd_cover(n: &str) -> Result<String, CliError> {
         return Err(err("the cover scan streams 4^n bits; n ≤ 18"));
     }
     let threads = ucfg_support::par::thread_count();
-    let source = ucfg_core::wordset::chunked::WordSetSource::for_word_domain(n);
+    let plan = ucfg_core::wordset::chunked::cover_plan(n);
     let rects = ucfg_core::cover::example8_cover(n);
     let scan = ucfg_core::cover::cover_scan_threads(n, &rects, threads);
     let mut out = String::new();
-    let _ = writeln!(out, "Example 8 cover of L_{n}, {}:", source.describe());
+    let _ = writeln!(out, "Example 8 cover of L_{n}, {}:", plan.describe());
     let _ = writeln!(out, "  rectangles:     {}", scan.size);
     let _ = writeln!(out, "  covers exactly: {}", scan.covers_exactly);
     let _ = writeln!(out, "  all balanced:   {}", scan.all_balanced);
@@ -966,7 +965,7 @@ pub fn usage() -> String {
        ucfg rank    <n>              Theorem 17 rank certificates (parallel;\n\
                                      set UCFG_THREADS to pin the worker count)\n\
        ucfg cover   <n>              verify the Example 8 cover of L_n (streams\n\
-                                     past the 2^30 cap; see --chunk-bits)\n\
+                                     2^18-bit blocks at every n; see --chunk-bits)\n\
        ucfg discrepancy <n>          streamed full-family discrepancy at the\n\
                                      [1,n] cut vs the exact −2^{3m} ledger\n\
        ucfg accounting <m>           exact Lemma 18/19 ledger for 𝓛 at n = 4m\n\
@@ -1000,8 +999,9 @@ pub fn usage() -> String {
                                      to stderr + out/METRICS_ucfg.json\n\
        --chunk-bits N | --chunk-bits=N\n\
                                      override UCFG_WORDSET_CHUNK: stream wordset\n\
-                                     kernels in N-bit chunks (power of two ≥ 64)\n\
-                                     and force the chunked path below the cap\n"
+                                     kernels in N-bit chunks (power of two ≥ 64;\n\
+                                     also the cover scan's block size) and force\n\
+                                     the chunked path below the cap\n"
         .to_string()
 }
 
@@ -1188,20 +1188,26 @@ mod tests {
 
     #[test]
     fn chunk_flag_round_trips_to_the_wordset_layer() {
-        // --chunk-bits must force the chunked path below the cap, and
-        // every line after the source banner must be byte-identical to
-        // the in-memory pass — the invariant CI's determinism job pins.
-        let chunked = dispatch(
-            &["--chunk-bits=1024".into(), "cover".into(), "4".into()],
+        // --chunk-bits must set the cover scan's block size, and every
+        // line after the banner must be byte-identical to the default
+        // plan's — the invariant CI's determinism job pins.
+        let small = dispatch(
+            &["--chunk-bits=1024".into(), "cover".into(), "6".into()],
             "",
         )
         .unwrap();
-        assert!(chunked.contains("chunked"), "{chunked}");
+        assert!(
+            small.contains("blocked (2^12 bits in 4 blocks of 2^10)"),
+            "{small}"
+        );
         std::env::remove_var(ucfg_core::wordset::chunked::CHUNK_ENV);
-        let inmem = dispatch(&["cover".into(), "4".into()], "").unwrap();
-        assert!(inmem.contains("in-memory"), "{inmem}");
+        let default = dispatch(&["cover".into(), "6".into()], "").unwrap();
+        assert!(
+            default.contains("blocked (2^12 bits in 1 block of 2^12)"),
+            "{default}"
+        );
         let tail = |s: &str| s.lines().skip(1).collect::<Vec<_>>().join("\n");
-        assert_eq!(tail(&chunked), tail(&inmem));
+        assert_eq!(tail(&small), tail(&default));
         // Malformed sizes are hard errors in both spellings, and must
         // not leave an override behind.
         assert!(dispatch(&["--chunk-bits".into()], "").is_err());

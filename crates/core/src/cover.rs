@@ -9,8 +9,7 @@ use crate::discrepancy;
 use crate::extract::ExtractionResult;
 use crate::rectangle::{example8_rectangle, SetRectangle};
 use crate::words::{enumerate_ln, ln_contains, Word};
-use crate::wordset::chunked::{self, CoverScan, WordSetSource};
-use crate::wordset::{self, OverlapCounter, WordSet};
+use crate::wordset::chunked::{self, CoverScan};
 use ucfg_support::{obs, par};
 
 /// Outcome of verifying a family of rectangles against `L_n`.
@@ -31,23 +30,44 @@ pub struct CoverReport {
 
 /// Verify a family of set rectangles against `L_n`.
 ///
-/// Bitmap kernel: each rectangle's bitmap is built in `O(|S|·|T|)`
-/// ([`SetRectangle::to_wordset`]) and accumulated into a bit-sliced
-/// [`OverlapCounter`], which yields coverage (union equals the cached
-/// `L_n` bitmap), disjointness and the maximum overlap in one pass of
-/// word-level popcount algebra — no per-word `BTreeSet` probes. The old
-/// scan survives as [`verify_cover_scalar`], the differential reference
-/// of the property tests.
+/// Blocked bitmap kernel: the word domain is scanned in cache-sized
+/// blocks ([`chunked::cover_plan`]). In each block every rectangle's
+/// slice is built by the grouped pair product over the side members that
+/// land there, and the slices are accumulated into a block-local
+/// bit-sliced [`OverlapCounter`]. That yields coverage (the union equals
+/// the block's `L_n` slice, built a backing word at a time), disjointness
+/// and the maximum overlap in word-level popcount algebra. No per-word
+/// probes run and no full-domain bitmap is allocated, at any `n`. The
+/// per-word scan survives as [`verify_cover_scalar`], the differential
+/// reference of the property tests.
+///
+/// [`OverlapCounter`]: crate::wordset::OverlapCounter
 pub fn verify_cover(n: usize, rects: &[SetRectangle]) -> CoverReport {
     verify_cover_threads(n, rects, par::thread_count())
 }
 
 /// [`verify_cover`] with an explicit worker count (`threads = 1` is the
-/// serial reference path). The rectangle bitmaps are built on the
-/// deterministic parallel map and folded in rectangle order, so the
-/// report is bit-identical for every thread count.
+/// serial reference path). The blocks are spread over the deterministic
+/// parallel layer and merged in block order, so the report is
+/// bit-identical for every thread count. Only the [`CoverReport`] facts
+/// are computed: no union counts or digests (see [`cover_scan_threads`]).
 pub fn verify_cover_threads(n: usize, rects: &[SetRectangle], threads: usize) -> CoverReport {
-    cover_scan_threads(n, rects, threads).into_report()
+    count_verify(rects);
+    let _t = obs::span!("cover.verify");
+    let (covers_exactly, max_overlap) =
+        chunked::cover_facts_chunked_threads(n, rects, threads, &chunked::cover_plan(n));
+    CoverReport {
+        size: rects.len(),
+        covers_exactly,
+        disjoint: max_overlap <= 1,
+        all_balanced: rects.iter().all(SetRectangle::is_balanced),
+        max_overlap,
+    }
+}
+
+fn count_verify(rects: &[SetRectangle]) {
+    obs::count!("cover.verify.calls");
+    obs::count!("cover.verify.rects", rects.len() as u64);
 }
 
 impl CoverScan {
@@ -70,41 +90,17 @@ pub fn cover_scan(n: usize, rects: &[SetRectangle]) -> CoverScan {
     cover_scan_threads(n, rects, par::thread_count())
 }
 
-/// [`cover_scan`] with an explicit worker count, routed through
-/// [`WordSetSource`]: in-memory below the materialisation cap (the PR 3
-/// bitmap kernel, one `OverlapCounter` over the whole domain), chunked
-/// above it or when `UCFG_WORDSET_CHUNK` forces the streamed path. Both
-/// paths fold the same per-word facts with order-free merges, so the scan
-/// is bit-identical across thread counts, chunk sizes, and the two
-/// routes.
+/// [`cover_scan`] with an explicit worker count: the blocked scan of
+/// [`verify_cover`] at the default [`chunked::cover_plan`] (blocks of
+/// [`chunked::COVER_BLOCK_BITS`], or `UCFG_WORDSET_CHUNK` when set), plus
+/// the union and `L_n` counts and digests. One code path serves every
+/// `n`, below the materialisation cap and above it. Blocks merge with
+/// order-free folds, so the scan is bit-identical across thread counts
+/// and block sizes.
 pub fn cover_scan_threads(n: usize, rects: &[SetRectangle], threads: usize) -> CoverScan {
-    obs::count!("cover.verify.calls");
-    obs::count!("cover.verify.rects", rects.len() as u64);
+    count_verify(rects);
     let _t = obs::span!("cover.verify");
-    match WordSetSource::for_word_domain(n) {
-        WordSetSource::Chunked(plan) => {
-            chunked::cover_scan_chunked_threads(n, rects, threads, &plan)
-        }
-        WordSetSource::InMemory { .. } => {
-            let ln = wordset::ln_bitmap(n);
-            let bitmaps: Vec<WordSet> = par::par_map_threads(rects, threads, |r| r.to_wordset(n));
-            let mut counter = OverlapCounter::new(wordset::word_domain(n));
-            for bm in &bitmaps {
-                counter.add(bm);
-            }
-            let union = counter.any();
-            CoverScan {
-                size: rects.len(),
-                covers_exactly: union == *ln,
-                all_balanced: rects.iter().all(SetRectangle::is_balanced),
-                max_overlap: counter.max_count(),
-                union_count: union.count(),
-                union_digest: chunked::set_digest(&union),
-                ln_count: ln.count(),
-                ln_digest: chunked::set_digest(&ln),
-            }
-        }
-    }
+    chunked::cover_scan_chunked_threads(n, rects, threads, &chunked::cover_plan(n))
 }
 
 /// The scalar reference for [`verify_cover`]: per-word membership probes
@@ -230,33 +226,14 @@ pub fn overlap_histogram(n: usize, rects: &[SetRectangle]) -> Vec<usize> {
 
 /// [`overlap_histogram`] with an explicit worker count.
 ///
-/// Bitmap kernel: the rectangle bitmaps (built on the deterministic
-/// parallel map) feed a bit-sliced [`OverlapCounter`]; `hist[k]` is then
-/// the popcount of the exact-`k` slice intersected with the cached `L_n`
-/// bitmap. Bit-identical to [`overlap_histogram_scalar`] for every
-/// thread count.
+/// Blocked bitmap kernel, on the blocks of [`verify_cover`]: in each
+/// block, `hist[k]` gains the popcount of the block counter's exact-`k`
+/// slice intersected with the block's `L_n` slice. Bit-identical to
+/// [`overlap_histogram_scalar`] for every thread count.
 pub fn overlap_histogram_threads(n: usize, rects: &[SetRectangle], threads: usize) -> Vec<usize> {
     obs::count!("cover.histogram.calls");
     let _t = obs::span!("cover.histogram");
-    if let WordSetSource::Chunked(plan) = WordSetSource::for_word_domain(n) {
-        return chunked::overlap_histogram_chunked_threads(n, rects, threads, &plan);
-    }
-    let ln = wordset::ln_bitmap(n);
-    let bitmaps: Vec<WordSet> = par::par_map_threads(rects, threads, |r| r.to_wordset(n));
-    let mut counter = OverlapCounter::new(wordset::word_domain(n));
-    for bm in &bitmaps {
-        counter.add(bm);
-    }
-    // The counter's maximum ranges over all words; the histogram is
-    // indexed by hits over L_n members only, so trailing zero buckets
-    // (attained only outside L_n) are trimmed to match the scalar shape.
-    let mut hist: Vec<usize> = (0..=counter.max_count())
-        .map(|k| counter.exactly_and_count(k, &ln) as usize)
-        .collect();
-    while hist.len() > 1 && hist.last() == Some(&0) {
-        hist.pop();
-    }
-    hist
+    chunked::overlap_histogram_chunked_threads(n, rects, threads, &chunked::cover_plan(n))
 }
 
 /// The scalar reference for [`overlap_histogram`]: per-member rectangle

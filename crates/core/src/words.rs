@@ -48,6 +48,49 @@ pub fn ln_contains(n: usize, w: Word) -> bool {
     (w & (w >> n)) & low_mask(n) != 0
 }
 
+/// `LOW_HITS[m]` has bit `k` set iff `k & m ≠ 0` (`k, m < 64`).
+const LOW_HITS: [u64; 64] = {
+    let mut table = [0u64; 64];
+    let mut m = 0;
+    while m < 64 {
+        let mut k = 0;
+        while k < 64 {
+            if k & m != 0 {
+                table[m] |= 1 << k;
+            }
+            k += 1;
+        }
+        m += 1;
+    }
+    table
+};
+
+/// `L_n` membership of the 64 words `w0, w0 + 1, …, w0 + 63` as one
+/// bitmask: bit `k` is `ln_contains(n, w0 + k)`, and bits past the
+/// `2^{2n}` domain are clear. `w0` must be a multiple of 64.
+///
+/// For `n ≥ 6` the 64 words share `Y` and every bit of `X` above the low
+/// six, which run through `k` itself. So `X ∩ Y ≠ ∅` either already holds
+/// on the shared bits (all 64 words are members) or reduces to
+/// `k & (Y & 63) ≠ 0`, one lookup in a 64-entry table. Smaller `n` tests
+/// the (at most 1024) words one by one.
+#[inline]
+pub(crate) fn ln_block(n: usize, w0: Word) -> u64 {
+    debug_assert!(w0.is_multiple_of(64), "blocks start at multiples of 64");
+    if n >= 6 {
+        let y = w0 >> n;
+        if w0 & y & low_mask(n) != 0 {
+            u64::MAX
+        } else {
+            LOW_HITS[(y & 63) as usize]
+        }
+    } else {
+        (0..64)
+            .filter(|&k| w0 + k < 1 << (2 * n) && ln_contains(n, w0 + k))
+            .fold(0, |m, k| m | 1 << k)
+    }
+}
+
 /// Number of witnessing pairs: `|{i : w_i = w_{i+n} = a}|`.
 #[inline]
 pub fn witness_count(n: usize, w: Word) -> u32 {
@@ -183,6 +226,30 @@ mod tests {
             for w in 0..(1u64 << (2 * n)) {
                 let naive = (0..n).any(|i| w >> i & 1 == 1 && w >> (i + n) & 1 == 1);
                 assert_eq!(ln_contains(n, w), naive, "n={n} w={w:b}");
+            }
+        }
+    }
+
+    #[test]
+    fn ln_block_matches_per_word_test() {
+        // n = 1…5 take the per-word branch (domains of 4…1024 words,
+        // ragged below 64); n = 6…9 the table, exhaustively; n = 20 and
+        // n = 32 sample blocks across the full u64 address space.
+        let check = |n: usize, w0: u64| {
+            let expect = (0..64u64)
+                .filter(|&k| (w0 + k) & !low_mask(2 * n) == 0 && ln_contains(n, w0 + k))
+                .fold(0u64, |m, k| m | 1 << k);
+            assert_eq!(ln_block(n, w0), expect, "n={n} w0={w0:#x}");
+        };
+        for n in 1..=9usize {
+            for w0 in (0..(1u64 << (2 * n))).step_by(64) {
+                check(n, w0);
+            }
+        }
+        for n in [20usize, 32] {
+            let top = low_mask(2 * n) & !63;
+            for i in 0..4096u64 {
+                check(n, i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & top);
             }
         }
     }

@@ -36,7 +36,7 @@
 //! ```
 
 use crate::discrepancy::{family_rank, in_a, supports_blocks};
-use crate::words::{ln_contains, Word};
+use crate::words::{ln_block, Word};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use ucfg_support::{arena, obs, par, simd};
@@ -393,6 +393,22 @@ impl OverlapCounter {
         assert_eq!(self.domain, set.domain, "counter/set domain mismatch");
         self.scratch.clear();
         self.scratch.extend_from_slice(&set.bits);
+        self.ripple();
+    }
+
+    /// Add the set that `fill` writes into a zeroed buffer of the
+    /// counter's backing words: [`add`](OverlapCounter::add) without
+    /// materialising the set as a [`WordSet`] first. `fill` must leave
+    /// the bits past the domain clear.
+    pub(crate) fn add_with(&mut self, fill: impl FnOnce(&mut [u64])) {
+        self.scratch.clear();
+        self.scratch.resize(blocks_for(self.domain), 0);
+        fill(&mut self.scratch);
+        self.ripple();
+    }
+
+    /// Ripple the set in `scratch` through the layers.
+    fn ripple(&mut self) {
         let carry = &mut self.scratch;
         for layer in &mut self.layers {
             if !simd::carry_save(&mut layer.bits, carry) {
@@ -568,16 +584,29 @@ pub fn clear_canonical_cache() -> usize {
 }
 
 /// The canonical `L_n` bitmap over the word domain `{a,b}^{2n}` (cached
-/// per `n`; built once with the serial scan so the cached bytes never
-/// depend on the ambient thread count).
+/// per `n`; built serially a backing word at a time, so the cached bytes
+/// never depend on the ambient thread count).
 pub fn ln_bitmap(n: usize) -> Arc<WordSet> {
     // Regression (same class PR 4 fixed in `empty_words`): the domain is
     // computed through the guarded helper so `n ≥ 16` dies with the cap
     // message *before* the `1u64 << (2 * n)` shift can wrap in release.
     let domain = word_domain(n);
-    cached(Canonical::Ln, n, || {
-        WordSet::from_pred_threads(domain, 1, |w| ln_contains(n, w as Word))
-    })
+    cached(Canonical::Ln, n, || ln_slice(n, 0, domain))
+}
+
+/// The elements `[base, base + len)` of `L_n` over the word domain, as a
+/// set over `0..len`. `base` is a multiple of 64, and so is `len` unless
+/// the slice ends the domain, where [`crate::words::ln_block`] already
+/// clears the bits past it. Each backing word is one `ln_block` call, so
+/// no per-word predicate runs for `n ≥ 6`.
+pub(crate) fn ln_slice(n: usize, base: u64, len: u64) -> WordSet {
+    debug_assert!(base.is_multiple_of(64), "slices own whole blocks");
+    debug_assert!(len.is_multiple_of(64) || base + len == 1 << (2 * n));
+    let mut bits = arena::take_zeroed(blocks_for(len));
+    for (i, b) in bits.iter_mut().enumerate() {
+        *b = ln_block(n, base + 64 * i as u64);
+    }
+    WordSet { domain: len, bits }
 }
 
 /// The family `𝓛` as a word-domain bitmap (cached per `n`; needs
@@ -629,8 +658,16 @@ pub fn family_b_bitmap(n: usize) -> Arc<WordSet> {
 /// builder enforced the same contract).
 pub fn pair_or_bitmap(domain: u64, s: &[u64], t: &[u64]) -> WordSet {
     let mut out = WordSet::empty(domain);
+    pair_or_into(&mut out.bits, domain, s, t);
+    out
+}
+
+/// [`pair_or_bitmap`] into caller-provided backing words (`bits` holds
+/// `domain` bits); the pair members are ORed into what is there.
+pub(crate) fn pair_or_into(bits: &mut [u64], domain: u64, s: &[u64], t: &[u64]) {
+    assert_eq!(bits.len(), blocks_for(domain), "bits/domain mismatch");
     if s.is_empty() || t.is_empty() {
-        return out;
+        return;
     }
     // The grouped (inner) side should be the one with the richer low-bit
     // variety: its groups then hold several members each, and every group
@@ -660,7 +697,7 @@ pub fn pair_or_bitmap(domain: u64, s: &[u64], t: &[u64]) -> WordSet {
         lows.push((b & 63) as u8);
     }
     group_start.push(lows.len() as u32);
-    let blocks = out.bits.len();
+    let blocks = bits.len();
     let tail_allowed = if domain.is_multiple_of(64) {
         u64::MAX
     } else {
@@ -691,10 +728,9 @@ pub fn pair_or_bitmap(domain: u64, s: &[u64], t: &[u64]) -> WordSet {
                 block < blocks && (block + 1 < blocks || mask & !tail_allowed == 0),
                 "pair_or_bitmap: member out of the {domain}-bit domain"
             );
-            out.bits[block] |= mask;
+            bits[block] |= mask;
         }
     }
-    out
 }
 
 /// The family-rank bitmap of `R ∩ 𝓛` for a rectangle `R = S × T`, built

@@ -1,14 +1,26 @@
-//! Chunked / streamed wordset algebra past the materialisation cap.
+//! Chunked / streamed wordset algebra: blocked scans of logical domains.
 //!
 //! [`super::WordSet`] hard-caps materialisation at [`MAX_DOMAIN_BITS`]
 //! (2^30 bits), which stops exhaustive word-domain kernels near `n = 15`.
 //! This module lifts that ceiling *without* raising the cap: a logical
-//! domain is split into fixed-size chunks (default [`DEFAULT_CHUNK_BITS`]
-//! = 2^26 bits, overridable via the [`CHUNK_ENV`] environment variable or
-//! an explicit [`ChunkPlan`]), each chunk is materialised as an ordinary
-//! `WordSet`, combined, folded into scalar aggregates, and dropped —
-//! through the deterministic [`par`] layer, so no worker ever holds more
-//! than a few chunk-sized bitmaps and the full domain is never allocated.
+//! domain is split into fixed-size chunks by a [`ChunkPlan`], each chunk
+//! is materialised as an ordinary `WordSet`, combined, folded into scalar
+//! aggregates, and dropped — through the deterministic [`par`] layer, so
+//! no worker ever holds more than a few chunk-sized bitmaps and the full
+//! domain is never allocated.
+//!
+//! The word-domain cover scan and overlap histogram
+//! ([`cover_scan_chunked_threads`], [`overlap_histogram_chunked_threads`],
+//! and through them [`crate::cover`]) run this way at **every** `n`:
+//! cache-sized blocks of [`COVER_BLOCK_BITS`] ([`cover_plan`]), each
+//! rectangle's slice built by the grouped pair product of
+//! [`super::pair_or_bitmap`] over the side members that land in the
+//! block, and the `L_n` slice built a backing word at a time. The
+//! family-domain kernels and the rank census route through
+//! [`WordSetSource`] instead: in one piece below the cap, in chunks of
+//! [`DEFAULT_CHUNK_BITS`] above it. The [`CHUNK_ENV`] override sets the
+//! chunk size of both, and also forces [`WordSetSource`] onto the chunked
+//! path below the cap, which is how CI exercises it at small `n`.
 //!
 //! Chunk boundaries depend only on the plan (never on the thread count)
 //! and all per-chunk aggregates merge with order-free operations (sums,
@@ -23,27 +35,28 @@
 //! multiples of 64), so the digest of a streamed domain equals the digest
 //! of the same domain materialised in one piece — equal sets have equal
 //! digests no matter how they were produced.
-//!
-//! Kernels route here through [`WordSetSource`]: in-memory below the cap,
-//! chunked above it (or whenever [`CHUNK_ENV`] forces the chunked path,
-//! which is how CI exercises it at small `n`).
 
-use super::{OverlapCounter, WordSet, MAX_DOMAIN_BITS};
+use super::{ln_slice, pair_or_into, OverlapCounter, WordSet, MAX_DOMAIN_BITS};
 use crate::discrepancy::{family_unrank, in_a, supports_blocks};
 use crate::rectangle::SetRectangle;
-use crate::words::{ln_contains, Word};
 use std::ops::Range;
 use ucfg_support::fnv::Fnv1a;
 use ucfg_support::{obs, par};
 
 /// Environment variable overriding the chunk size in **bits** (a power of
-/// two ≥ 64). Setting it also *forces* the chunked path below the cap —
-/// the lever the CI determinism job uses to exercise chunked kernels at
-/// small `n`.
+/// two ≥ 64), which is also the cover scan's block size ([`cover_plan`]).
+/// Setting it also *forces* the chunked path of [`WordSetSource`] below
+/// the cap — the lever the CI determinism job uses to exercise chunked
+/// kernels at small `n`.
 pub const CHUNK_ENV: &str = "UCFG_WORDSET_CHUNK";
 
 /// Default chunk size: 2^26 bits = 8 MiB per materialised chunk.
 pub const DEFAULT_CHUNK_BITS: u64 = 1 << 26;
+
+/// Default block size of the word-domain cover scan: 2^18 bits = 32 KiB
+/// per bitmap, so a block's rectangle slice, overlap-counter layers and
+/// `L_n` slice stay cache-resident.
+pub const COVER_BLOCK_BITS: u64 = 1 << 18;
 
 /// Is `bits` a valid chunk size? Power of two so chunk indexing is a
 /// shift, ≥ 64 so chunks own whole backing blocks (which is what makes
@@ -180,6 +193,34 @@ impl ChunkPlan {
         let lo = ci as u64 * self.chunk_bits;
         lo..(lo + self.chunk_bits).min(self.domain)
     }
+
+    /// A one-line description of the block geometry, e.g.
+    /// `blocked (2^20 bits in 4 blocks of 2^18)`.
+    pub fn describe(&self) -> String {
+        let pow2 = |x: u64| {
+            if x.is_power_of_two() {
+                format!("2^{}", x.trailing_zeros())
+            } else {
+                x.to_string()
+            }
+        };
+        format!(
+            "blocked ({} bits in {} block{} of {})",
+            pow2(self.domain),
+            self.num_chunks(),
+            if self.num_chunks() == 1 { "" } else { "s" },
+            pow2(self.chunk_bits)
+        )
+    }
+}
+
+/// The block plan of the word-domain cover scan at `n`: blocks of
+/// [`COVER_BLOCK_BITS`] (or the [`chunk_override`] when set), capped at
+/// the whole domain when that is smaller.
+pub fn cover_plan(n: usize) -> ChunkPlan {
+    let domain = logical_word_domain(n);
+    let bits = chunk_override().unwrap_or(COVER_BLOCK_BITS);
+    ChunkPlan::with_chunk_bits(domain, bits.min(domain.max(64)))
 }
 
 /// How a kernel should obtain its domain: materialised in one piece
@@ -272,7 +313,103 @@ pub fn set_digest(set: &WordSet) -> u64 {
     digest_words(0, set.blocks())
 }
 
-/// Aggregates of one streamed cover-verification pass — everything
+/// A rectangle's sides prepared for a blocked scan with `2^shift`-bit
+/// blocks. Each side is bucketed once by `member >> shift`: the sides
+/// come out of their `BTreeSet`s ascending, and the bucket key is
+/// monotone in the member, so sorting by member *is* the bucketing and a
+/// block finds its bucket by binary search. `s_low`/`t_low` hold the
+/// members' in-block offsets in the same order.
+struct BlockedRect {
+    ins: u64,
+    outs: u64,
+    shift: u32,
+    s_key: Vec<u64>,
+    s_low: Vec<u64>,
+    t_key: Vec<u64>,
+    t_low: Vec<u64>,
+}
+
+impl BlockedRect {
+    fn new(r: &SetRectangle, shift: u32) -> BlockedRect {
+        let low = (1u64 << shift) - 1;
+        let split = |side: &std::collections::BTreeSet<u64>| -> (Vec<u64>, Vec<u64>) {
+            side.iter().map(|&m| (m >> shift, m & low)).unzip()
+        };
+        let (s_key, s_low) = split(&r.s);
+        let (t_key, t_low) = split(&r.t);
+        BlockedRect {
+            ins: r.partition.inside(),
+            outs: r.partition.outside(),
+            shift,
+            s_key,
+            s_low,
+            t_key,
+            t_low,
+        }
+    }
+
+    /// The in-block offsets of the side members whose products land in
+    /// the block at `base`, or `None` when no member does. `S` and `T`
+    /// live on disjoint position masks, so `u | v` lands in the block iff
+    /// `u` matches the block base on `Π₀`'s positions above the block and
+    /// `v` matches it on `Π₁`'s. Summed over all blocks, the grouped
+    /// [`pair_or_into`] products over these slices cost the `O(|S|·|T|)`
+    /// of [`SetRectangle::to_wordset`].
+    fn block(&self, base: u64) -> Option<(&[u64], &[u64])> {
+        let bucket = |keys: &[u64], key: u64| {
+            keys.partition_point(|&k| k < key)..keys.partition_point(|&k| k <= key)
+        };
+        let s = bucket(&self.s_key, (base & self.ins) >> self.shift);
+        let t = bucket(&self.t_key, (base & self.outs) >> self.shift);
+        if s.is_empty() || t.is_empty() {
+            return None;
+        }
+        Some((&self.s_low[s], &self.t_low[t]))
+    }
+}
+
+/// One block of the word-domain cover scan: the block-local overlap
+/// counter over every rectangle's slice (each written straight into the
+/// counter's carry buffer), and the `L_n` slice ([`ln_slice`]). A block
+/// holds a handful of block-sized bitmaps, so the full domain is never
+/// allocated.
+fn scan_block(n: usize, rects: &[BlockedRect], base: u64, len: u64) -> (OverlapCounter, WordSet) {
+    let mut counter = OverlapCounter::new(len);
+    for r in rects {
+        if let Some((s, t)) = r.block(base) {
+            counter.add_with(|bits| pair_or_into(bits, len, s, t));
+        }
+    }
+    (counter, ln_slice(n, base, len))
+}
+
+/// Run [`scan_block`] over every block of `plan` on the deterministic
+/// [`par`] layer, reducing each block with `fold`; results come back in
+/// block order.
+fn scan_blocks<A: Send>(
+    n: usize,
+    rects: &[SetRectangle],
+    threads: usize,
+    plan: &ChunkPlan,
+    fold: impl Fn(u64, &OverlapCounter, &WordSet) -> A + Sync,
+) -> Vec<A> {
+    assert_eq!(
+        plan.domain(),
+        logical_word_domain(n),
+        "plan/domain mismatch"
+    );
+    obs::count!("cover.blocks", plan.num_chunks() as u64);
+    let shift = plan.chunk_bits().trailing_zeros();
+    let blocked: Vec<BlockedRect> = rects.iter().map(|r| BlockedRect::new(r, shift)).collect();
+    par::run_chunks(plan.num_chunks(), threads, |ci| {
+        let range = plan.chunk_range(ci);
+        let (base, len) = (range.start, range.end - range.start);
+        let (counter, ln) = scan_block(n, &blocked, base, len);
+        fold(base, &counter, &ln)
+    })
+}
+
+/// Aggregates of one word-domain cover-verification pass — everything
 /// [`crate::cover::CoverReport`] needs plus the counts and digests the
 /// differential suite and the CI determinism job byte-compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -295,86 +432,27 @@ pub struct CoverScan {
     pub ln_digest: u64,
 }
 
-/// The chunk of rectangle `r`'s word-domain bitmap restricted to
-/// `[base, base + len)`, built by filtering both sides on their high
-/// bits: `S` and `T` live on disjoint position masks, so `u ∪ v` lands in
-/// the chunk iff `u` matches the chunk base on `Π₀`'s high positions and
-/// `v` matches it on `Π₁`'s — `O(|S| + |T|)` filtering plus one insert
-/// per member actually in the chunk (summed over all chunks that is
-/// exactly the `O(|S|·|T|)` of [`SetRectangle::to_wordset`]).
-fn rect_word_chunk(r: &SetRectangle, chunk_bits: u64, base: u64, len: u64) -> WordSet {
-    let high = !(chunk_bits - 1);
-    let ins = r.partition.inside();
-    let outs = r.partition.outside();
-    let low = chunk_bits - 1;
-    let su: Vec<u64> =
-        r.s.iter()
-            .copied()
-            .filter(|&u| u & high == base & ins & high)
-            .collect();
-    let mut part = WordSet::empty(len);
-    if su.is_empty() {
-        return part;
-    }
-    let tv: Vec<u64> =
-        r.t.iter()
-            .copied()
-            .filter(|&v| v & high == base & outs & high)
-            .collect();
-    for &u in &su {
-        for &v in &tv {
-            part.insert((u | v) & low);
-        }
-    }
-    part
-}
-
-/// One chunk of the streamed cover pass: the `L_n` slice, the bit-sliced
-/// overlap counter over the rectangle slices, and the scalar aggregates.
-struct CoverChunk {
-    covers_exactly: bool,
-    max_overlap: usize,
-    union_count: u64,
-    union_digest: u64,
-    ln_count: u64,
-    ln_digest: u64,
-}
-
-/// Streamed cover verification over `plan`: chunk results merge with
-/// order-free folds (AND / max / sum / XOR) in chunk order, so the scan
-/// is bit-identical across thread counts *and* chunk sizes, and equal to
-/// the in-memory pass wherever both are feasible.
+/// The blocked cover scan over `plan`, with the union / `L_n` counts and
+/// digests. Block results merge with order-free folds (AND / max / sum /
+/// XOR) in block order, so the scan is bit-identical across thread
+/// counts *and* block sizes. [`crate::cover::cover_scan_threads`] is this
+/// scan at the default [`cover_plan`].
 pub fn cover_scan_chunked_threads(
     n: usize,
     rects: &[SetRectangle],
     threads: usize,
     plan: &ChunkPlan,
 ) -> CoverScan {
-    assert_eq!(
-        plan.domain(),
-        logical_word_domain(n),
-        "plan/domain mismatch"
-    );
-    obs::count!("wordset.chunked.cover_scans");
-    obs::count!("wordset.chunked.chunks", plan.num_chunks() as u64);
-    let _t = obs::span!("wordset.chunked.cover");
-    let chunks = par::run_chunks(plan.num_chunks(), threads, |ci| {
-        let range = plan.chunk_range(ci);
-        let (base, len) = (range.start, range.end - range.start);
-        let ln = WordSet::from_pred_threads(len, 1, |k| ln_contains(n, (base + k) as Word));
-        let mut counter = OverlapCounter::new(len);
-        for r in rects {
-            counter.add(&rect_word_chunk(r, plan.chunk_bits(), base, len));
-        }
+    let blocks = scan_blocks(n, rects, threads, plan, |base, counter, ln| {
         let union = counter.any();
-        CoverChunk {
-            covers_exactly: union == ln,
-            max_overlap: counter.max_count(),
-            union_count: union.count(),
-            union_digest: digest_words(base, union.blocks()),
-            ln_count: ln.count(),
-            ln_digest: digest_words(base, ln.blocks()),
-        }
+        (
+            union == *ln,
+            counter.max_count(),
+            union.count(),
+            digest_words(base, union.blocks()),
+            ln.count(),
+            digest_words(base, ln.blocks()),
+        )
     });
     let mut scan = CoverScan {
         size: rects.len(),
@@ -386,46 +464,48 @@ pub fn cover_scan_chunked_threads(
         ln_count: 0,
         ln_digest: 0,
     };
-    for c in chunks {
-        scan.covers_exactly &= c.covers_exactly;
-        scan.max_overlap = scan.max_overlap.max(c.max_overlap);
-        scan.union_count += c.union_count;
-        scan.union_digest ^= c.union_digest;
-        scan.ln_count += c.ln_count;
-        scan.ln_digest ^= c.ln_digest;
+    for (exact, max, union_count, union_digest, ln_count, ln_digest) in blocks {
+        scan.covers_exactly &= exact;
+        scan.max_overlap = scan.max_overlap.max(max);
+        scan.union_count += union_count;
+        scan.union_digest ^= union_digest;
+        scan.ln_count += ln_count;
+        scan.ln_digest ^= ln_digest;
     }
     scan
 }
 
-/// Streamed overlap histogram over `plan`: per-chunk exact-`k` popcounts
-/// against the chunk's `L_n` slice, summed bucket-wise across chunks and
-/// trimmed like [`crate::cover::overlap_histogram`].
+/// The [`crate::cover::CoverReport`] facts of the blocked scan over
+/// `plan` — coverage and the maximum overlap only, with no counts or
+/// digests.
+pub(crate) fn cover_facts_chunked_threads(
+    n: usize,
+    rects: &[SetRectangle],
+    threads: usize,
+    plan: &ChunkPlan,
+) -> (bool, usize) {
+    scan_blocks(n, rects, threads, plan, |_, counter, ln| {
+        (counter.any() == *ln, counter.max_count())
+    })
+    .into_iter()
+    .fold((true, 0), |(exact, max), (e, m)| (exact & e, max.max(m)))
+}
+
+/// The blocked overlap histogram over `plan`: per-block exact-`k`
+/// popcounts against the block's `L_n` slice, summed bucket-wise across
+/// blocks and trimmed like [`crate::cover::overlap_histogram`].
 pub fn overlap_histogram_chunked_threads(
     n: usize,
     rects: &[SetRectangle],
     threads: usize,
     plan: &ChunkPlan,
 ) -> Vec<usize> {
-    assert_eq!(
-        plan.domain(),
-        logical_word_domain(n),
-        "plan/domain mismatch"
-    );
-    obs::count!("wordset.chunked.histograms");
-    let _t = obs::span!("wordset.chunked.histogram");
-    let partials = par::run_chunks(plan.num_chunks(), threads, |ci| {
-        let range = plan.chunk_range(ci);
-        let (base, len) = (range.start, range.end - range.start);
-        let ln = WordSet::from_pred_threads(len, 1, |k| ln_contains(n, (base + k) as Word));
-        let mut counter = OverlapCounter::new(len);
-        for r in rects {
-            counter.add(&rect_word_chunk(r, plan.chunk_bits(), base, len));
-        }
+    let partials = scan_blocks(n, rects, threads, plan, |_, counter, ln| {
         (0..=counter.max_count())
-            .map(|k| counter.exactly_and_count(k, &ln) as usize)
+            .map(|k| counter.exactly_and_count(k, ln) as usize)
             .collect::<Vec<usize>>()
     });
-    let mut hist = Vec::new();
+    let mut hist = vec![0];
     for p in partials {
         if hist.len() < p.len() {
             hist.resize(p.len(), 0);
@@ -434,9 +514,9 @@ pub fn overlap_histogram_chunked_threads(
             *h += v;
         }
     }
-    if hist.is_empty() {
-        hist.push(0);
-    }
+    // The counter's maximum ranges over all words; the histogram is
+    // indexed by hits over `L_n` members only, so trailing zero buckets
+    // (attained only outside `L_n`) are trimmed to match the scalar shape.
     while hist.len() > 1 && hist.last() == Some(&0) {
         hist.pop();
     }
@@ -596,6 +676,34 @@ mod tests {
     }
 
     #[test]
+    fn cover_plan_blocks_and_banner() {
+        let _g = env_gate();
+        let _e = EnvRestore::clear();
+        let plan = cover_plan(10);
+        assert_eq!(
+            (plan.chunk_bits(), plan.num_chunks()),
+            (COVER_BLOCK_BITS, 4)
+        );
+        assert_eq!(plan.describe(), "blocked (2^20 bits in 4 blocks of 2^18)");
+        // Domains below one block are a single whole-domain block.
+        assert_eq!(
+            cover_plan(8).describe(),
+            "blocked (2^16 bits in 1 block of 2^16)"
+        );
+        assert_eq!(cover_plan(2).chunk_bits(), 64);
+        assert_eq!(cover_plan(16).num_chunks(), 1 << 14);
+        // The override sets the block size, still capped at the domain.
+        std::env::set_var(CHUNK_ENV, "65536");
+        assert_eq!(cover_plan(10).num_chunks(), 16);
+        assert_eq!(cover_plan(4).num_chunks(), 1);
+        assert_eq!(cover_plan(4).chunk_bits(), 256);
+        assert_eq!(
+            ChunkPlan::with_chunk_bits(100, 64).describe(),
+            "blocked (100 bits in 2 blocks of 2^6)"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "invalid chunk size")]
     fn plan_rejects_non_power_of_two() {
         let _ = ChunkPlan::with_chunk_bits(1 << 12, 100);
@@ -665,11 +773,14 @@ mod tests {
                 let plan = ChunkPlan::with_chunk_bits(whole.domain(), chunk_bits);
                 let mut count = 0u64;
                 let mut digest = 0u64;
+                let blocked = BlockedRect::new(&r, chunk_bits.trailing_zeros());
                 for ci in 0..plan.num_chunks() {
                     let rg = plan.chunk_range(ci);
-                    let piece = rect_word_chunk(&r, chunk_bits, rg.start, rg.end - rg.start);
-                    count += piece.count();
-                    digest ^= digest_words(rg.start, piece.blocks());
+                    if let Some((s, t)) = blocked.block(rg.start) {
+                        let piece = crate::wordset::pair_or_bitmap(rg.end - rg.start, s, t);
+                        count += piece.count();
+                        digest ^= digest_words(rg.start, piece.blocks());
+                    }
                 }
                 assert_eq!(count, whole.count(), "chunk_bits={chunk_bits}");
                 assert_eq!(digest, set_digest(&whole), "chunk_bits={chunk_bits}");

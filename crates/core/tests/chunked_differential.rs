@@ -1,10 +1,15 @@
-//! Differential suite for the chunked wordset algebra: every streamed
-//! kernel must agree **exactly** — counts, digests, verdicts, signed sums
-//! — with its in-memory counterpart, across chunk sizes and worker
-//! counts, on exhaustive small-`n` domains and random rectangle families.
-//! The in-memory kernels are themselves pinned to their `*_scalar`
-//! references by `wordset_kernels.rs`, so equality here chains all the
-//! way down.
+//! Differential suite for the chunked wordset algebra: every blocked or
+//! streamed kernel must agree **exactly** — counts, digests, verdicts,
+//! signed sums — with a reference, across chunk sizes and worker counts,
+//! on exhaustive small-`n` domains and random rectangle families.
+//!
+//! The word-domain cover scan and histogram have one implementation, the
+//! blocked scan, so their reference is scalar: [`verify_cover_scalar`] and
+//! [`overlap_histogram_scalar`] for the report and the histogram, and
+//! per-word [`SetRectangle::contains`] / [`ln_contains`] probes for the
+//! union and `L_n` counts and digests. The family-domain kernels are
+//! compared with their in-memory counterparts, which `wordset_kernels.rs`
+//! pins to their own `*_scalar` references.
 //!
 //! Chunk plans are passed explicitly ([`ChunkPlan::with_chunk_bits`]), so
 //! nothing here touches the `UCFG_WORDSET_CHUNK` environment variable and
@@ -12,19 +17,23 @@
 
 use std::collections::BTreeSet;
 
-use ucfg_core::cover::{cover_scan_threads, example8_cover, overlap_histogram_threads};
+use ucfg_core::cover::{
+    cover_scan_threads, example8_cover, overlap_histogram_scalar, overlap_histogram_threads,
+    verify_cover_scalar_threads, verify_cover_threads,
+};
 use ucfg_core::discrepancy::{
     discrepancy_threads, family_accounting, family_size, full_family_rectangle,
     random_family_rectangle, supports_blocks,
 };
 use ucfg_core::partition::OrderedPartition;
 use ucfg_core::rectangle::SetRectangle;
+use ucfg_core::words::{ln_contains, ln_size};
 use ucfg_core::wordset::chunked::{
     cover_scan_chunked_threads, discrepancy_chunked_threads, family_rectangle_scan_chunked_threads,
     logical_family_domain, logical_word_domain, overlap_histogram_chunked_threads, set_digest,
-    ChunkPlan,
+    ChunkPlan, CoverScan,
 };
-use ucfg_core::wordset::family_rectangle_bitmap_threads;
+use ucfg_core::wordset::{family_rectangle_bitmap_threads, WordSet};
 use ucfg_support::prop::Gen;
 use ucfg_support::rng::{Rng, SeedableRng, StdRng};
 use ucfg_support::{prop_assert_eq, property};
@@ -35,6 +44,14 @@ const THREADS: [usize; 3] = [1, 2, 8];
 /// Chunk sizes (bits) for the word-domain matrix: deliberately tiny so
 /// even `n = 4` (256-bit domain) splits into many chunks.
 const WORD_CHUNKS: [u64; 3] = [1 << 10, 1 << 16, 1 << 20];
+
+/// Block sizes for the straddling-members property: the smallest legal
+/// block, two of the matrix sizes, and the default cover block.
+const STRADDLE_BLOCKS: [u64; 4] = [64, 1 << 10, 1 << 16, 1 << 18];
+
+/// Worker count of the scalar reference passes (themselves pinned
+/// across worker counts by the unit tests).
+const REFERENCE_THREADS: usize = 8;
 
 fn random_partition(n: usize, rng: &mut StdRng) -> OrderedPartition {
     let i = rng.random_range(1..=n);
@@ -56,11 +73,99 @@ fn random_rect_family(n: usize, rng: &mut StdRng) -> Vec<SetRectangle> {
     rects
 }
 
-/// Compare chunked and in-memory cover kernels for one `(n, rects)`
-/// input across the given chunk sizes and all of [`THREADS`].
+/// A random rectangle over a random partition whose sides straddle the
+/// boundaries of every block size in [`STRADDLE_BLOCKS`]: besides random
+/// subsets of each side's positions, each side holds the last member
+/// below and the first member at or above every block boundary `2^b`
+/// (projected onto the side), so products land on both sides of it.
+fn straddling_rectangle(n: usize, rng: &mut StdRng) -> SetRectangle {
+    let part = random_partition(n, rng);
+    let side = |mask: u64, rng: &mut StdRng| -> BTreeSet<u64> {
+        let mut members: BTreeSet<u64> = (0..rng.random_range(0..12usize))
+            .map(|_| rng.random_range(0..1u64 << (2 * n)) & mask)
+            .collect();
+        for b in STRADDLE_BLOCKS.map(u64::trailing_zeros) {
+            if b < 2 * n as u32 {
+                members.insert(((1u64 << b) - 1) & mask);
+                members.insert((1u64 << b) & mask);
+            }
+        }
+        members
+    };
+    let s = side(part.inside(), rng);
+    let t = side(part.outside(), rng);
+    SetRectangle::new(part, s, t)
+}
+
+/// The scalar reference of a cover scan: the report facts from
+/// [`verify_cover_scalar_threads`], the union and `L_n` counts and
+/// digests from per-word probes.
+fn reference_scan(n: usize, rects: &[SetRectangle]) -> CoverScan {
+    let report = verify_cover_scalar_threads(n, rects, REFERENCE_THREADS);
+    let domain = logical_word_domain(n);
+    let union = WordSet::from_pred_threads(domain, REFERENCE_THREADS, |w| {
+        rects.iter().any(|r| r.contains(w))
+    });
+    let ln = ln_by_probes(n);
+    CoverScan {
+        size: report.size,
+        covers_exactly: report.covers_exactly,
+        all_balanced: report.all_balanced,
+        max_overlap: report.max_overlap,
+        union_count: union.count(),
+        union_digest: set_digest(&union),
+        ln_count: ln.count(),
+        ln_digest: set_digest(&ln),
+    }
+}
+
+/// `L_n` built by one [`ln_contains`] probe per word.
+fn ln_by_probes(n: usize) -> WordSet {
+    WordSet::from_pred_threads(logical_word_domain(n), REFERENCE_THREADS, |w| {
+        ln_contains(n, w)
+    })
+}
+
+/// The Example 8 scan as the paper states it, for `n` where the
+/// per-word rectangle probes are too slow: the `n` rectangles cover
+/// `L_n` exactly, the all-`a` word lies in all of them, and the union
+/// and `L_n` counts and digests come from [`ln_contains`] probes.
+fn example8_reference(n: usize) -> CoverScan {
+    let ln = ln_by_probes(n);
+    assert_eq!(Some(ln.count()), ln_size(n).to_u64(), "|L_n| = 4^n − 3^n");
+    CoverScan {
+        size: n,
+        covers_exactly: true,
+        all_balanced: true,
+        max_overlap: n,
+        union_count: ln.count(),
+        union_digest: set_digest(&ln),
+        ln_count: ln.count(),
+        ln_digest: set_digest(&ln),
+    }
+}
+
+/// Compare the blocked cover kernels for one `(n, rects)` input with the
+/// scalar references, across the given chunk sizes and all of
+/// [`THREADS`]; the default-plan entry points must agree too.
 fn assert_cover_kernels_agree(n: usize, rects: &[SetRectangle], chunks: &[u64]) {
-    let reference = cover_scan_threads(n, rects, 1);
-    let hist_reference = overlap_histogram_threads(n, rects, 1);
+    let reference = reference_scan(n, rects);
+    let hist_reference = overlap_histogram_scalar(n, rects);
+    assert_eq!(
+        reference,
+        cover_scan_threads(n, rects, 2),
+        "default plan: n={n}"
+    );
+    assert_eq!(
+        reference.into_report(),
+        verify_cover_threads(n, rects, 2),
+        "verify_cover: n={n}"
+    );
+    assert_eq!(
+        hist_reference,
+        overlap_histogram_threads(n, rects, 2),
+        "default histogram: n={n}"
+    );
     for &chunk in chunks {
         let plan = ChunkPlan::with_chunk_bits(logical_word_domain(n), chunk);
         for t in THREADS {
@@ -91,10 +196,13 @@ fn cover_kernels_exhaustive_small_n() {
 #[test]
 fn cover_kernels_at_larger_n() {
     // 4^10 = 2^20 and 4^12 = 2^24 logical bits: many chunks at 2^16 /
-    // 2^20, still a single-digit-second debug run.
+    // 2^20. The per-word rectangle probes take minutes at n = 12 in a
+    // debug build, so that size is checked against Example 8's stated
+    // facts (the full scalar comparison runs in the ignored matrix).
     assert_cover_kernels_agree(10, &example8_cover(10), &[1 << 16]);
     let n = 12;
-    let reference = cover_scan_threads(n, &example8_cover(n), 8);
+    let reference = example8_reference(n);
+    assert_eq!(reference, cover_scan_threads(n, &example8_cover(n), 8));
     let plan = ChunkPlan::with_chunk_bits(logical_word_domain(n), 1 << 20);
     for t in [1usize, 8] {
         assert_eq!(
@@ -175,17 +283,40 @@ fn bignum_accounting_matches_the_kernels() {
 
 property! {
     cases = 16;
-    fn chunked_cover_scan_matches_in_memory_on_random_families(
+    fn cover_scan_matches_scalar_on_random_families(
         n in |g: &mut Gen| g.int_in(3usize..=8),
         chunk in |g: &mut Gen| *g.choice(&WORD_CHUNKS),
         seed in |g: &mut Gen| g.int_in(0u64..1 << 48),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let rects = random_rect_family(n, &mut rng);
-        let reference = cover_scan_threads(n, &rects, 1);
+        let reference = reference_scan(n, &rects);
         let plan = ChunkPlan::with_chunk_bits(logical_word_domain(n), chunk);
         for t in THREADS {
             prop_assert_eq!(reference, cover_scan_chunked_threads(n, &rects, t, &plan));
+        }
+    }
+
+    cases = 12;
+    fn cover_kernels_match_scalar_on_block_straddling_rectangles(
+        n in |g: &mut Gen| g.int_in(4usize..=9),
+        len in |g: &mut Gen| g.int_in(1usize..=4),
+        seed in |g: &mut Gen| g.int_in(0u64..1 << 48),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rects: Vec<SetRectangle> =
+            (0..len).map(|_| straddling_rectangle(n, &mut rng)).collect();
+        let reference = reference_scan(n, &rects);
+        let hist_reference = overlap_histogram_scalar(n, &rects);
+        for block in STRADDLE_BLOCKS {
+            let plan = ChunkPlan::with_chunk_bits(logical_word_domain(n), block);
+            for t in THREADS {
+                prop_assert_eq!(reference, cover_scan_chunked_threads(n, &rects, t, &plan));
+                prop_assert_eq!(
+                    hist_reference.clone(),
+                    overlap_histogram_chunked_threads(n, &rects, t, &plan)
+                );
+            }
         }
     }
 
@@ -212,20 +343,20 @@ property! {
     }
 }
 
-/// The acceptance matrix: every `n ≤ 15` word domain, chunked vs
-/// in-memory, equal counts and digests. `2^30` logical bits at the top —
-/// run in release (`cargo test --release -- --ignored full_matrix`).
+/// The acceptance matrix: every `n ≤ 15` word domain, blocked scans at
+/// several block sizes against the scalar reference up to `n = 12` and
+/// against Example 8's stated facts above it. `2^30` logical bits at the
+/// top — run in release (`cargo test --release -- --ignored full_matrix`).
 #[test]
 #[ignore = "minutes in debug; run with --release -- --ignored"]
-fn full_matrix_to_n15_chunked_equals_in_memory() {
+fn full_matrix_to_n15_matches_reference() {
     for n in 2usize..=12 {
         assert_cover_kernels_agree(n, &example8_cover(n), &WORD_CHUNKS);
     }
     for n in [13usize, 14, 15] {
         let rects = example8_cover(n);
-        let reference = cover_scan_threads(n, &rects, 8);
-        assert!(reference.covers_exactly, "Example 8 covers L_{n}");
-        assert_eq!(reference.max_overlap, n, "central words hit all n spans");
+        let reference = example8_reference(n);
+        assert_eq!(reference, cover_scan_threads(n, &rects, 8), "n={n}");
         for chunk in [1 << 20, 1 << 26] {
             let plan = ChunkPlan::with_chunk_bits(logical_word_domain(n), chunk);
             for t in [1usize, 8] {
