@@ -8,7 +8,7 @@
 //!   report --list     # available experiment ids
 //!   report --threads 4  # worker threads (overrides $UCFG_THREADS);
 //!                       # also -j 4, --threads=4, -j4
-//!   report --chunk-bits N  # stream wordset kernels in N-bit chunks
+//!   report --chunk-bits N  # block size of the blocked wordset scans
 //!                          # (sets UCFG_WORDSET_CHUNK); also --chunk-bits=N
 //!   report --trace    # per-experiment metrics (or UCFG_TRACE=1):
 //!                     # summary to stderr + out/METRICS_report.json

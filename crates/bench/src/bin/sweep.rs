@@ -11,9 +11,8 @@
 //!   sweep --threads 4      # worker threads (default: $UCFG_THREADS,
 //!                          # else available cores); also -j 4,
 //!                          # --threads=4, -j4
-//!   sweep --chunk-bits N   # stream wordset kernels in N-bit chunks
-//!                          # (sets UCFG_WORDSET_CHUNK and forces the
-//!                          # chunked path below the cap); also
+//!   sweep --chunk-bits N   # block size of the blocked wordset scans
+//!                          # (sets UCFG_WORDSET_CHUNK); also
 //!                          # --chunk-bits=N
 //!   sweep --trace          # kernel metrics (or UCFG_TRACE=1): summary
 //!                          # table to stderr + out/METRICS_sweep.json

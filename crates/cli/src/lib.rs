@@ -202,8 +202,8 @@ pub fn cmd_extract(n: &str) -> Result<String, CliError> {
 /// parallel kernels (worker count from `$UCFG_THREADS`, else all cores);
 /// the result is bit-identical for every thread count. Past `n = 10` the
 /// Gaussian elimination is infeasible, but the matrix census (ones count
-/// and digest) streams through `WordSetSource` up to `n = 18` — in
-/// chunks past the materialisation cap at `n ≥ 16`.
+/// and digest) streams block by block up to `n = 18`; the GF(2) line
+/// then names the census block plan.
 pub fn cmd_rank(n: &str) -> Result<String, CliError> {
     let n = parse_n(n)?;
     if n > 18 {
@@ -220,11 +220,11 @@ pub fn cmd_rank(n: &str) -> Result<String, CliError> {
         let gf2 = ucfg_core::rank::rank_gf2(n);
         let _ = writeln!(out, "  rank over GF(2):           {gf2}");
     } else {
-        let source = ucfg_core::wordset::chunked::WordSetSource::for_word_domain(n);
+        use ucfg_core::wordset::chunked::{block_plan, logical_word_domain};
         let _ = writeln!(
             out,
             "  rank over GF(2):           (elimination needs n ≤ 10; census {})",
-            source.describe()
+            block_plan(logical_word_domain(n)).describe()
         );
     }
     if n <= 9 {
@@ -247,7 +247,7 @@ pub fn cmd_rank(n: &str) -> Result<String, CliError> {
 
 /// `ucfg cover <n>` — verify the Example 8 cover of `L_n` with the
 /// blocked cover scan: the word domain streams in blocks of
-/// [`ucfg_core::wordset::chunked::COVER_BLOCK_BITS`], or of
+/// [`ucfg_core::wordset::chunked::BLOCK_BITS`], or of
 /// `--chunk-bits` / `UCFG_WORDSET_CHUNK` when set. The banner line names
 /// the block plan; everything below it is byte-identical across thread
 /// counts and block sizes — the CI determinism job byte-compares these
@@ -258,7 +258,9 @@ pub fn cmd_cover(n: &str) -> Result<String, CliError> {
         return Err(err("the cover scan streams 4^n bits; n ≤ 18"));
     }
     let threads = ucfg_support::par::thread_count();
-    let plan = ucfg_core::wordset::chunked::cover_plan(n);
+    let plan = ucfg_core::wordset::chunked::block_plan(
+        ucfg_core::wordset::chunked::logical_word_domain(n),
+    );
     let rects = ucfg_core::cover::example8_cover(n);
     let scan = ucfg_core::cover::cover_scan_threads(n, &rects, threads);
     let mut out = String::new();
@@ -281,13 +283,11 @@ pub fn cmd_cover(n: &str) -> Result<String, CliError> {
 }
 
 /// `ucfg discrepancy <n>` — the signed discrepancy `|R∩A| − |R∩B|` of
-/// the full-family rectangle `R = 𝓛` at the `[1, n]` cut, streamed over
-/// the family-rank domain through the [`WordSetSource`] routing (chunked
-/// past the cap or under `--chunk-bits`), and cross-checked against the
-/// exact closed-form ledger value `−2^{3m}` — the Lemma 19 bound met
-/// with equality.
-///
-/// [`WordSetSource`]: ucfg_core::wordset::chunked::WordSetSource
+/// the full-family rectangle `R = 𝓛` at the `[1, n]` cut, cross-checked
+/// against the exact closed-form ledger value `−2^{3m}` — the Lemma 19
+/// bound met with equality. The banner names the path `n` selects: the
+/// in-memory bitmaps up to `n = 28`, the block plan of the streamed
+/// family domain at `n = 32` ([`ucfg_core::discrepancy::discrepancy_plan`]).
 pub fn cmd_discrepancy(n: &str) -> Result<String, CliError> {
     let n = parse_n(n)?;
     if !ucfg_core::discrepancy::supports_blocks(n) {
@@ -297,17 +297,16 @@ pub fn cmd_discrepancy(n: &str) -> Result<String, CliError> {
         return Err(err("the streamed scan probes 2^n family ranks; n ≤ 32"));
     }
     let threads = ucfg_support::par::thread_count();
-    let source = ucfg_core::wordset::chunked::WordSetSource::for_family_domain(n);
+    let path = match ucfg_core::discrepancy::discrepancy_plan(n) {
+        Some(plan) => plan.describe(),
+        None => format!("in-memory (2^{n} bits)"),
+    };
     let rect = ucfg_core::discrepancy::full_family_rectangle(n);
     let d = ucfg_core::discrepancy::discrepancy_threads(n, &rect, threads);
     let acc = ucfg_core::discrepancy::family_accounting((n / 4) as u64);
     let exact = &acc.full_family_discrepancy;
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Full-family discrepancy at n = {n}, {}:",
-        source.describe()
-    );
+    let _ = writeln!(out, "Full-family discrepancy at n = {n}, {path}:");
     let _ = writeln!(out, "  disc(𝓛) = |𝓛∩A| − |𝓛∩B|:   {d}");
     let _ = writeln!(out, "  exact ledger −2^{{3m}}:       {exact}");
     let _ = writeln!(
@@ -998,10 +997,9 @@ pub fn usage() -> String {
        --trace                       kernel metrics (or UCFG_TRACE=1): summary\n\
                                      to stderr + out/METRICS_ucfg.json\n\
        --chunk-bits N | --chunk-bits=N\n\
-                                     override UCFG_WORDSET_CHUNK: stream wordset\n\
-                                     kernels in N-bit chunks (power of two ≥ 64;\n\
-                                     also the cover scan's block size) and force\n\
-                                     the chunked path below the cap\n"
+                                     override UCFG_WORDSET_CHUNK: the block size\n\
+                                     of every blocked wordset scan (power of two\n\
+                                     ≥ 64; default 2^18)\n"
         .to_string()
 }
 
@@ -1017,8 +1015,8 @@ pub fn usage() -> String {
 /// `out/METRICS_ucfg.json` and a summary at exit). A `--chunk-bits N` /
 /// `--chunk-bits=N` flag anywhere sets `UCFG_WORDSET_CHUNK` for this
 /// invocation via [`ucfg_core::wordset::chunked::set_chunk_bits`] — the
-/// wordset kernels then stream in `N`-bit chunks even below the
-/// materialisation cap.
+/// blocked wordset scans then run on `N`-bit blocks. A malformed ambient
+/// `UCFG_WORDSET_CHUNK` is rejected here, before any command runs.
 pub fn dispatch(args: &[String], stdin: &str) -> Result<String, CliError> {
     let (args, trace) = ucfg_support::obs::strip_trace_flag(args);
     if trace {
@@ -1137,9 +1135,11 @@ mod tests {
         assert!(out.contains("GF(2^61 − 1):    15"), "{out}");
         assert!(out.contains("≥ 15 rectangles"), "{out}");
         // Past the elimination ceiling only the streamed census runs:
-        // ones = 4^11 − 3^11 with the census source named in the banner.
+        // ones = 4^11 − 3^11 with the census block plan named in the
+        // banner.
         let out = cmd_rank("11").unwrap();
         assert!(out.contains("elimination needs n ≤ 10"), "{out}");
+        assert!(out.contains("census blocked (2^22 bits in"), "{out}");
         assert!(out.contains("matrix ones (4^n − 3^n):   4017157"), "{out}");
         assert!(cmd_rank("19").is_err());
         assert!(cmd_rank("0").is_err());
@@ -1165,6 +1165,7 @@ mod tests {
         assert!(out.contains("disc(𝓛) = |𝓛∩A| − |𝓛∩B|:   -64"), "{out}");
         assert!(out.contains("exact ledger −2^{3m}:       -64"), "{out}");
         assert!(out.contains("streamed = exact:           true"), "{out}");
+        assert!(out.starts_with("Full-family discrepancy at n = 8, in-memory (2^8 bits):"));
         assert!(cmd_discrepancy("6").is_err(), "n ≢ 0 mod 4");
         assert!(cmd_discrepancy("36").is_err(), "past the scan ceiling");
     }

@@ -31,7 +31,7 @@ pub struct CoverReport {
 /// Verify a family of set rectangles against `L_n`.
 ///
 /// Blocked bitmap kernel: the word domain is scanned in cache-sized
-/// blocks ([`chunked::cover_plan`]). In each block every rectangle's
+/// blocks ([`chunked::block_plan`]). In each block every rectangle's
 /// slice is built by the grouped pair product over the side members that
 /// land there, and the slices are accumulated into a block-local
 /// bit-sliced [`OverlapCounter`]. That yields coverage (the union equals
@@ -55,7 +55,7 @@ pub fn verify_cover_threads(n: usize, rects: &[SetRectangle], threads: usize) ->
     count_verify(rects);
     let _t = obs::span!("cover.verify");
     let (covers_exactly, max_overlap) =
-        chunked::cover_facts_chunked_threads(n, rects, threads, &chunked::cover_plan(n));
+        chunked::cover_facts_chunked_threads(n, rects, threads, &word_plan(n));
     CoverReport {
         size: rects.len(),
         covers_exactly,
@@ -90,9 +90,14 @@ pub fn cover_scan(n: usize, rects: &[SetRectangle]) -> CoverScan {
     cover_scan_threads(n, rects, par::thread_count())
 }
 
+/// The default block plan over the word domain `{a,b}^{2n}`.
+fn word_plan(n: usize) -> chunked::ChunkPlan {
+    chunked::block_plan(chunked::logical_word_domain(n))
+}
+
 /// [`cover_scan`] with an explicit worker count: the blocked scan of
-/// [`verify_cover`] at the default [`chunked::cover_plan`] (blocks of
-/// [`chunked::COVER_BLOCK_BITS`], or `UCFG_WORDSET_CHUNK` when set), plus
+/// [`verify_cover`] at the default [`chunked::block_plan`] (blocks of
+/// [`chunked::BLOCK_BITS`], or `UCFG_WORDSET_CHUNK` when set), plus
 /// the union and `L_n` counts and digests. One code path serves every
 /// `n`, below the materialisation cap and above it. Blocks merge with
 /// order-free folds, so the scan is bit-identical across thread counts
@@ -100,7 +105,7 @@ pub fn cover_scan(n: usize, rects: &[SetRectangle]) -> CoverScan {
 pub fn cover_scan_threads(n: usize, rects: &[SetRectangle], threads: usize) -> CoverScan {
     count_verify(rects);
     let _t = obs::span!("cover.verify");
-    chunked::cover_scan_chunked_threads(n, rects, threads, &chunked::cover_plan(n))
+    chunked::cover_scan_chunked_threads(n, rects, threads, &word_plan(n))
 }
 
 /// The scalar reference for [`verify_cover`]: per-word membership probes
@@ -233,7 +238,7 @@ pub fn overlap_histogram(n: usize, rects: &[SetRectangle]) -> Vec<usize> {
 pub fn overlap_histogram_threads(n: usize, rects: &[SetRectangle], threads: usize) -> Vec<usize> {
     obs::count!("cover.histogram.calls");
     let _t = obs::span!("cover.histogram");
-    chunked::overlap_histogram_chunked_threads(n, rects, threads, &chunked::cover_plan(n))
+    chunked::overlap_histogram_chunked_threads(n, rects, threads, &word_plan(n))
 }
 
 /// The scalar reference for [`overlap_histogram`]: per-member rectangle

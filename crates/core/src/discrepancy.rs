@@ -27,6 +27,8 @@
 use crate::partition::OrderedPartition;
 use crate::rectangle::SetRectangle;
 use crate::words::{witness_count, Word};
+use crate::wordset::chunked::{self, ChunkPlan};
+use crate::wordset::MAX_DOMAIN_BITS;
 use std::collections::BTreeSet;
 use ucfg_grammar::bignum::{BigInt, BigUint};
 use ucfg_support::obs;
@@ -198,12 +200,15 @@ pub fn discrepancy(n: usize, r: &SetRectangle) -> i64 {
 /// [`discrepancy`] with an explicit worker count (`threads = 1` is the
 /// serial reference path). The bitmap build OR-merges per-chunk partials
 /// and the popcounts are order-free, so the result is bit-identical for
-/// every thread count.
+/// every thread count. Past the materialisation cap (`n ≥ 32`), where
+/// neither the rectangle nor the `A` bitmap can be built, the family
+/// domain streams block by block instead
+/// ([`chunked::discrepancy_chunked_threads`] over [`discrepancy_plan`]);
+/// the path depends on `n` alone.
 pub fn discrepancy_threads(n: usize, r: &SetRectangle, threads: usize) -> i64 {
     obs::count!("discrepancy.calls");
     let _t = obs::span!("discrepancy.bitmap");
-    use crate::wordset::chunked::{self, WordSetSource};
-    if let WordSetSource::Chunked(plan) = WordSetSource::for_family_domain(n) {
+    if let Some(plan) = discrepancy_plan(n) {
         return chunked::discrepancy_chunked_threads(n, r, threads, &plan);
     }
     let rect = crate::wordset::family_rectangle_bitmap_threads(n, r, threads);
@@ -211,6 +216,15 @@ pub fn discrepancy_threads(n: usize, r: &SetRectangle, threads: usize) -> i64 {
     // B = 𝓛 ∖ A on the family-rank domain, so |R ∩ B| is the fused
     // `R ∖ A` popcount — one pass over `rect`/`A`, no `B` bitmap at all.
     rect.and_count(&a) as i64 - rect.andnot_count(&a) as i64
+}
+
+/// The block plan [`discrepancy_threads`] streams at `n`: `Some` exactly
+/// when the family domain `2^n` exceeds [`MAX_DOMAIN_BITS`] (`n ≥ 32` for
+/// the family's `n ≡ 0 mod 4`), `None` where the in-memory bitmap route
+/// runs.
+pub fn discrepancy_plan(n: usize) -> Option<ChunkPlan> {
+    let domain = chunked::logical_family_domain(n);
+    (domain > MAX_DOMAIN_BITS).then(|| chunked::block_plan(domain))
 }
 
 /// The scalar reference for [`discrepancy`]: exhaustive `2^n` family scan
@@ -813,6 +827,17 @@ mod tests {
             assert!(acc.lemma18_holds, "m={m}");
             assert!(!acc.gap.is_negative());
         }
+    }
+
+    #[test]
+    fn discrepancy_path_depends_on_n_alone() {
+        // The bitmap route runs wherever the family domain materialises;
+        // the streamed route only past the cap, on the shared block plan.
+        for n in [4usize, 8, 24, 28] {
+            assert!(discrepancy_plan(n).is_none(), "n={n}");
+        }
+        let plan = discrepancy_plan(32).expect("2^32 ranks exceed the cap");
+        assert_eq!(plan.domain(), 1u64 << 32);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! certifying an exponential lower bound for the fixed-partition case on
 //! concrete instances.
 
-use crate::wordset::chunked::{self, WordSetSource};
+use crate::wordset::chunked;
 use crate::wordset::WordSet;
 use ucfg_support::{obs, par};
 
@@ -74,12 +74,11 @@ pub fn rank_gf2_threads(n: usize, threads: usize) -> usize {
 /// A streamed census of the `L_n` communication matrix: the matrix is
 /// flattened row-major into `4^n` bits (bit `k` is set iff
 /// `(k >> n) ∩ (k mod 2^n) ≠ ∅`), the same shape the GF(2) row build
-/// materialises, and scanned through [`WordSetSource`] — in one piece
-/// below the cap, chunk by chunk above it (or whenever
-/// [`chunked::CHUNK_ENV`] forces the chunked path), so the census runs at
-/// `n = 16`–`18` where the dense matrix cannot be held. The digest uses
-/// the [`chunked::set_digest`] scheme, so it is bit-identical across
-/// thread counts, chunk sizes, and the in-memory/chunked split.
+/// materialises, and folded block by block over
+/// [`chunked::block_plan`], so no more than a block per worker is ever
+/// held and the census runs at `n = 16`–`18`, where the dense matrix
+/// cannot be. The digest uses the [`chunked::set_digest`] scheme, so it
+/// is bit-identical across thread counts and block sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RankMatrixScan {
     /// Number of matrix rows, `2^n`.
@@ -97,35 +96,27 @@ pub fn rank_matrix_scan(n: usize) -> RankMatrixScan {
 
 /// The streamed [`RankMatrixScan`] with an explicit worker count
 /// (`threads = 1` is the serial reference path; results are
-/// bit-identical for every thread count and chunk size).
+/// bit-identical for every thread count and block size).
 pub fn rank_matrix_scan_threads(n: usize, threads: usize) -> RankMatrixScan {
     obs::count!("rank.matrix_scan.calls");
     let _t = obs::span!("rank.matrix_scan");
     let mask = (1u64 << n) - 1;
-    let pred = move |k: u64| (k >> n) & (k & mask) != 0;
-    let rows = 1u64 << n;
-    match WordSetSource::for_word_domain(n) {
-        WordSetSource::InMemory { domain } => {
-            let m = WordSet::from_pred_threads(domain, threads, pred);
-            RankMatrixScan {
-                rows,
-                ones: m.count(),
-                digest: chunked::set_digest(&m),
-            }
-        }
-        WordSetSource::Chunked(plan) => {
-            obs::count!("rank.matrix_scan.chunks", plan.num_chunks() as u64);
-            let chunks = par::run_chunks(plan.num_chunks(), threads, |ci| {
-                let range = plan.chunk_range(ci);
-                let (base, len) = (range.start, range.end - range.start);
-                let slab = WordSet::from_pred_threads(len, 1, |k| pred(base + k));
-                (slab.count(), chunked::digest_words(base, slab.blocks()))
+    let plan = chunked::block_plan(chunked::logical_word_domain(n));
+    obs::count!("rank.matrix_scan.blocks", plan.num_chunks() as u64);
+    let (ones, digest) = plan
+        .run(threads, |base, len| {
+            let slab = WordSet::from_pred_threads(len, 1, |k| {
+                let k = base + k;
+                (k >> n) & (k & mask) != 0
             });
-            let (ones, digest) = chunks
-                .into_iter()
-                .fold((0u64, 0u64), |(c, d), (cc, cd)| (c + cc, d ^ cd));
-            RankMatrixScan { rows, ones, digest }
-        }
+            (slab.count(), chunked::digest_words(base, slab.blocks()))
+        })
+        .into_iter()
+        .fold((0u64, 0u64), |(c, d), (cc, cd)| (c + cc, d ^ cd));
+    RankMatrixScan {
+        rows: 1u64 << n,
+        ones,
+        digest,
     }
 }
 
@@ -368,8 +359,10 @@ mod tests {
     fn matrix_scan_digest_matches_the_row_build() {
         // At n ≥ 6 each GF(2) row occupies whole 64-bit words, so the
         // flattened-matrix digest must equal the XOR of per-row digests of
-        // the very rows the elimination consumes.
-        for n in [6usize, 7, 8] {
+        // the very rows the elimination consumes — a reference that does
+        // not depend on the block size. n = 9 fills one default 2^18-bit
+        // block exactly; n = 10 spans four.
+        for n in [6usize, 7, 8, 9, 10] {
             let size = 1usize << n;
             let width = size.div_ceil(64);
             let from_rows = (0..size as u64)

@@ -18,10 +18,10 @@
 //! `2n = 64`), but *materialisation* is capped at [`MAX_DOMAIN_BITS`] bits
 //! so a stray call can never allocate beyond experiment scale.
 //!
-//! The canonical sets of the reproduction — `L_n`, the family `𝓛`, and
-//! its `A`/`B` split — are built once per `n` and cached process-wide
-//! ([`ln_bitmap`], [`family_bitmap`], [`family_a_bitmap`],
-//! [`family_b_bitmap`]); rectangle bitmaps are built in `O(|S|·|T|)` by
+//! The canonical sets of the reproduction — `L_n` and the odd-witness
+//! half `A` of the family `𝓛` — are built once per `n` and cached
+//! process-wide ([`ln_bitmap`], [`family_a_bitmap`]); rectangle bitmaps
+//! are built in `O(|S|·|T|)` by
 //! [`crate::rectangle::SetRectangle::to_wordset`] instead of scanning the
 //! full domain.
 //!
@@ -36,7 +36,7 @@
 //! ```
 
 use crate::discrepancy::{family_rank, in_a, supports_blocks};
-use crate::words::{ln_block, Word};
+use crate::words::ln_block;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use ucfg_support::{arena, obs, par, simd};
@@ -148,11 +148,6 @@ impl WordSet {
             }
         }
         WordSet { domain, bits }
-    }
-
-    /// The empty word-domain set for words of length `2n`.
-    pub fn empty_words(n: usize) -> WordSet {
-        Self::empty(word_domain(n))
     }
 
     /// Build from a membership predicate by scanning the whole domain on
@@ -509,12 +504,8 @@ impl OverlapCounter {
 enum Canonical {
     /// `L_n` over the word domain.
     Ln,
-    /// The family `𝓛` over the word domain.
-    Family,
     /// `A ⊆ 𝓛` (odd witness count) over the family-rank domain.
     FamilyA,
-    /// `B = 𝓛 ∖ A` over the family-rank domain.
-    FamilyB,
 }
 
 /// The process-wide canonical-bitmap cache, keyed by (kind, n). Each key
@@ -538,12 +529,11 @@ fn cached(kind: Canonical, n: usize, build: impl FnOnce() -> WordSet) -> Arc<Wor
         Entry::Occupied(e) => e.get().clone(),
         Entry::Vacant(v) => v.insert(Arc::new(OnceLock::new())).clone(),
     };
-    // The map lock is NOT held across `build`: builders may recurse into
-    // the cache (e.g. `family_b_bitmap` builds from `family_a_bitmap`,
-    // a different key). The per-key once-cell guarantees exactly one
-    // build — concurrent callers for the same key block here instead of
-    // racing duplicate builds, so `wordset.cache.misses` counts each
-    // distinct key exactly once.
+    // The map lock is NOT held across `build`, so builds of different
+    // keys never wait on each other. The per-key once-cell guarantees
+    // exactly one build — concurrent callers for the same key block here
+    // instead of racing duplicate builds, so `wordset.cache.misses`
+    // counts each distinct key exactly once.
     let mut built_here = false;
     let set = slot
         .get_or_init(|| {
@@ -587,9 +577,9 @@ pub fn clear_canonical_cache() -> usize {
 /// per `n`; built serially a backing word at a time, so the cached bytes
 /// never depend on the ambient thread count).
 pub fn ln_bitmap(n: usize) -> Arc<WordSet> {
-    // Regression (same class PR 4 fixed in `empty_words`): the domain is
-    // computed through the guarded helper so `n ≥ 16` dies with the cap
-    // message *before* the `1u64 << (2 * n)` shift can wrap in release.
+    // The domain is computed through the guarded helper so `n ≥ 16` dies
+    // with the cap message *before* the `1u64 << (2 * n)` shift can wrap
+    // in release.
     let domain = word_domain(n);
     cached(Canonical::Ln, n, || ln_slice(n, 0, domain))
 }
@@ -609,16 +599,6 @@ pub(crate) fn ln_slice(n: usize, base: u64, len: u64) -> WordSet {
     WordSet { domain: len, bits }
 }
 
-/// The family `𝓛` as a word-domain bitmap (cached per `n`; needs
-/// `n ≡ 0 mod 4`).
-pub fn family_bitmap(n: usize) -> Arc<WordSet> {
-    assert!(supports_blocks(n));
-    let domain = word_domain(n);
-    cached(Canonical::Family, n, || {
-        WordSet::from_pred_threads(domain, 1, |w| crate::discrepancy::in_family(n, w as Word))
-    })
-}
-
 /// `A ⊆ 𝓛` (odd witness count) over the **family-rank domain**: bit `i`
 /// is set iff the member `family_unrank(n, i)` lies in `A`. Cached per
 /// `n`.
@@ -629,16 +609,6 @@ pub fn family_a_bitmap(n: usize) -> Arc<WordSet> {
         WordSet::from_pred_threads(domain, 1, |i| {
             in_a(n, crate::discrepancy::family_unrank(n, i))
         })
-    })
-}
-
-/// `B = 𝓛 ∖ A` over the family-rank domain. Cached per `n`.
-pub fn family_b_bitmap(n: usize) -> Arc<WordSet> {
-    assert!(supports_blocks(n));
-    let domain = family_domain(n);
-    cached(Canonical::FamilyB, n, || {
-        let a = family_a_bitmap(n);
-        WordSet::full(domain).andnot(&a)
     })
 }
 
@@ -939,15 +909,10 @@ mod tests {
     #[test]
     fn family_bitmaps_match_scalar_membership() {
         for n in [4usize, 8] {
-            let fam = family_bitmap(n);
             let a = family_a_bitmap(n);
-            let b = family_b_bitmap(n);
-            assert_eq!(fam.count(), 1 << n, "|𝓛| = 2^n");
-            assert_eq!(a.count() + b.count(), 1 << n, "A ⊎ B = 𝓛");
-            assert!(a.is_disjoint(&b));
+            assert_eq!(a.domain(), 1 << n, "one bit per family rank");
             for i in 0..(1u64 << n) {
                 let w = crate::discrepancy::family_unrank(n, i);
-                assert!(fam.contains(w), "unrank lands in 𝓛");
                 assert_eq!(a.contains(i), in_a(n, w), "n={n} i={i}");
             }
         }
@@ -1143,28 +1108,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_words_at_the_cap_boundary() {
-        // 2n = 30 is exactly the materialisation cap.
-        assert_eq!(WordSet::empty_words(15).domain(), MAX_DOMAIN_BITS);
-    }
-
-    #[test]
-    #[should_panic(expected = "materialisation cap")]
-    fn empty_words_overflow_gets_the_cap_message() {
-        // Regression: n = 32 used to evaluate `1u64 << 64` *before* the
-        // cap check — a shift-overflow panic in debug and a silently
-        // wrapped (domain = 1!) set in release. Now it dies with the
-        // cap message before the shift.
-        let _ = WordSet::empty_words(32);
-    }
-
-    #[test]
-    #[should_panic(expected = "materialisation cap")]
-    fn empty_words_just_past_the_cap_gets_the_cap_message() {
-        let _ = WordSet::empty_words(16);
-    }
-
-    #[test]
     fn guarded_domains_at_the_cap_boundary() {
         // 2n = 30 (n = 15) and n = 30 sit exactly at the cap: the guarded
         // helpers return the cap itself without panicking. Checked on the
@@ -1183,15 +1126,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "materialisation cap")]
     fn ln_bitmap_overflow_gets_the_cap_message() {
-        // Regression: n = 32 used to hit `1u64 << 64` before any check —
-        // the exact masked-shift class PR 4 fixed in `empty_words`.
+        // Regression: n = 32 used to evaluate `1u64 << 64` before any
+        // check — a shift-overflow panic in debug and a silently wrapped
+        // (domain = 1!) set in release. Now it dies with the cap message
+        // before the shift.
         let _ = ln_bitmap(32);
-    }
-
-    #[test]
-    #[should_panic(expected = "materialisation cap")]
-    fn family_bitmap_just_past_the_cap_gets_the_cap_message() {
-        let _ = family_bitmap(16);
     }
 
     #[test]
@@ -1201,12 +1140,6 @@ mod tests {
         // helper this reached `1u64 << 32`-sized allocation paths; the
         // family-domain guard now dies first with the cap message.
         let _ = family_a_bitmap(32);
-    }
-
-    #[test]
-    #[should_panic(expected = "materialisation cap")]
-    fn family_b_bitmap_overflow_gets_the_cap_message() {
-        let _ = family_b_bitmap(32);
     }
 
     #[test]

@@ -9,18 +9,19 @@
 //! no worker ever holds more than a few chunk-sized bitmaps and the full
 //! domain is never allocated.
 //!
-//! The word-domain cover scan and overlap histogram
+//! Every blocked scan runs over one plan, [`block_plan`]: blocks of
+//! [`BLOCK_BITS`] (cache-sized), or of the [`CHUNK_ENV`] size when set,
+//! capped at the domain. The word-domain cover scan and overlap histogram
 //! ([`cover_scan_chunked_threads`], [`overlap_histogram_chunked_threads`],
-//! and through them [`crate::cover`]) run this way at **every** `n`:
-//! cache-sized blocks of [`COVER_BLOCK_BITS`] ([`cover_plan`]), each
-//! rectangle's slice built by the grouped pair product of
-//! [`super::pair_or_bitmap`] over the side members that land in the
-//! block, and the `L_n` slice built a backing word at a time. The
-//! family-domain kernels and the rank census route through
-//! [`WordSetSource`] instead: in one piece below the cap, in chunks of
-//! [`DEFAULT_CHUNK_BITS`] above it. The [`CHUNK_ENV`] override sets the
-//! chunk size of both, and also forces [`WordSetSource`] onto the chunked
-//! path below the cap, which is how CI exercises it at small `n`.
+//! and through them [`crate::cover`]) build each rectangle's slice by the
+//! grouped pair product of [`super::pair_or_bitmap`] over the side
+//! members that land in the block, and the `L_n` slice a backing word at
+//! a time. The rank census ([`crate::rank::rank_matrix_scan`]) folds the
+//! flattened communication matrix block by block. The family-domain
+//! discrepancy streams ([`discrepancy_chunked_threads`]) only past the
+//! cap, where its in-memory bitmap route cannot run
+//! ([`crate::discrepancy::discrepancy_plan`]). Which path a kernel takes
+//! depends on `n` alone; the block size never selects one.
 //!
 //! Chunk boundaries depend only on the plan (never on the thread count)
 //! and all per-chunk aggregates merge with order-free operations (sums,
@@ -43,20 +44,15 @@ use std::ops::Range;
 use ucfg_support::fnv::Fnv1a;
 use ucfg_support::{obs, par};
 
-/// Environment variable overriding the chunk size in **bits** (a power of
-/// two ≥ 64), which is also the cover scan's block size ([`cover_plan`]).
-/// Setting it also *forces* the chunked path of [`WordSetSource`] below
-/// the cap — the lever the CI determinism job uses to exercise chunked
-/// kernels at small `n`.
+/// Environment variable overriding the block size in **bits** (a power of
+/// two ≥ 64) of every blocked scan ([`block_plan`]). It sets the block
+/// size only and never selects a path; results are identical at every
+/// size, which is what the CI determinism job checks by varying it.
 pub const CHUNK_ENV: &str = "UCFG_WORDSET_CHUNK";
 
-/// Default chunk size: 2^26 bits = 8 MiB per materialised chunk.
-pub const DEFAULT_CHUNK_BITS: u64 = 1 << 26;
-
-/// Default block size of the word-domain cover scan: 2^18 bits = 32 KiB
-/// per bitmap, so a block's rectangle slice, overlap-counter layers and
-/// `L_n` slice stay cache-resident.
-pub const COVER_BLOCK_BITS: u64 = 1 << 18;
+/// Default block size: 2^18 bits = 32 KiB per bitmap, so a block's
+/// slices (rectangle, overlap-counter layers, `L_n`) stay cache-resident.
+pub const BLOCK_BITS: u64 = 1 << 18;
 
 /// Is `bits` a valid chunk size? Power of two so chunk indexing is a
 /// shift, ≥ 64 so chunks own whole backing blocks (which is what makes
@@ -80,17 +76,29 @@ fn parse_chunk_bits(spec: &str) -> Result<u64, String> {
     Ok(bits)
 }
 
-/// The process-wide chunk-size override: [`CHUNK_ENV`] when set.
-/// A present-but-malformed value panics — a CI job that typos the
-/// variable must fail, not silently fall back to in-memory kernels.
-pub fn chunk_override() -> Option<u64> {
-    let spec = std::env::var(CHUNK_ENV).ok()?;
-    Some(parse_chunk_bits(&spec).unwrap_or_else(|e| panic!("{CHUNK_ENV}: {e}")))
+/// The [`CHUNK_ENV`] override, parsed: `Ok(None)` when unset, `Err` with
+/// the reason when present but malformed.
+fn env_chunk_bits() -> Result<Option<u64>, String> {
+    match std::env::var(CHUNK_ENV) {
+        Ok(spec) => parse_chunk_bits(&spec)
+            .map(Some)
+            .map_err(|e| format!("{CHUNK_ENV}: {e}")),
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(std::env::VarError::NotUnicode(_)) => Err(format!("{CHUNK_ENV}: not valid UTF-8")),
+    }
 }
 
-/// Set the chunk-size override for this process by setting [`CHUNK_ENV`]
-/// — the funnel behind the binaries' `--chunk-bits` flag. Also forces
-/// the chunked path below the cap (see [`WordSetSource`]).
+/// The process-wide block-size override: [`CHUNK_ENV`] when set. A
+/// present-but-malformed value panics — a CI job that typos the variable
+/// must fail, not silently run at the default size. The binaries reject
+/// such a value up front in [`strip_chunk_flags`], so a running command
+/// never reaches this panic.
+pub fn chunk_override() -> Option<u64> {
+    env_chunk_bits().unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Set the block-size override for this process by setting [`CHUNK_ENV`]
+/// — the funnel behind the binaries' `--chunk-bits` flag.
 pub fn set_chunk_bits(bits: u64) {
     assert!(
         valid_chunk_bits(bits),
@@ -103,7 +111,10 @@ pub fn set_chunk_bits(bits: u64) {
 /// applying the override via [`set_chunk_bits`], and return the remaining
 /// arguments. Both `--chunk-bits N` and `--chunk-bits=N` are accepted; a
 /// missing or malformed size is a hard error, mirroring
-/// [`par::strip_thread_flags`].
+/// [`par::strip_thread_flags`]. An ambient [`CHUNK_ENV`] that no flag
+/// replaced is validated here too, so a malformed value fails the
+/// command before it runs instead of panicking the first kernel that
+/// reads it (in `ucfg serve`, a shard thread).
 pub fn strip_chunk_flags(args: &[String]) -> Result<Vec<String>, String> {
     let mut rest = Vec::with_capacity(args.len());
     let mut iter = args.iter();
@@ -121,6 +132,7 @@ pub fn strip_chunk_flags(args: &[String]) -> Result<Vec<String>, String> {
             None => rest.push(arg.clone()),
         }
     }
+    env_chunk_bits()?;
     Ok(rest)
 }
 
@@ -156,12 +168,6 @@ pub struct ChunkPlan {
 }
 
 impl ChunkPlan {
-    /// A plan over `domain` with the ambient chunk size: the
-    /// [`chunk_override`] when set, else [`DEFAULT_CHUNK_BITS`].
-    pub fn new(domain: u64) -> ChunkPlan {
-        Self::with_chunk_bits(domain, chunk_override().unwrap_or(DEFAULT_CHUNK_BITS))
-    }
-
     /// Builder: a plan with an explicit chunk size (power of two in
     /// `[64, MAX_DOMAIN_BITS]`).
     pub fn with_chunk_bits(domain: u64, chunk_bits: u64) -> ChunkPlan {
@@ -194,6 +200,15 @@ impl ChunkPlan {
         lo..(lo + self.chunk_bits).min(self.domain)
     }
 
+    /// Run `f(base, len)` on every block on the deterministic [`par`]
+    /// layer; results come back in block order.
+    pub fn run<A: Send>(&self, threads: usize, f: impl Fn(u64, u64) -> A + Sync) -> Vec<A> {
+        par::run_chunks(self.num_chunks(), threads, |ci| {
+            let range = self.chunk_range(ci);
+            f(range.start, range.end - range.start)
+        })
+    }
+
     /// A one-line description of the block geometry, e.g.
     /// `blocked (2^20 bits in 4 blocks of 2^18)`.
     pub fn describe(&self) -> String {
@@ -214,76 +229,12 @@ impl ChunkPlan {
     }
 }
 
-/// The block plan of the word-domain cover scan at `n`: blocks of
-/// [`COVER_BLOCK_BITS`] (or the [`chunk_override`] when set), capped at
-/// the whole domain when that is smaller.
-pub fn cover_plan(n: usize) -> ChunkPlan {
-    let domain = logical_word_domain(n);
-    let bits = chunk_override().unwrap_or(COVER_BLOCK_BITS);
+/// The block plan of a logical domain of `domain` bits: blocks of
+/// [`BLOCK_BITS`] (or the [`chunk_override`] when set), capped at the
+/// whole domain when that is smaller.
+pub fn block_plan(domain: u64) -> ChunkPlan {
+    let bits = chunk_override().unwrap_or(BLOCK_BITS);
     ChunkPlan::with_chunk_bits(domain, bits.min(domain.max(64)))
-}
-
-/// How a kernel should obtain its domain: materialised in one piece
-/// (below the cap) or streamed chunk by chunk (above it, or whenever the
-/// [`CHUNK_ENV`] override forces the chunked path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WordSetSource {
-    /// The whole domain fits under [`MAX_DOMAIN_BITS`]: materialise it.
-    InMemory {
-        /// The domain size in bits.
-        domain: u64,
-    },
-    /// Stream the domain through the given plan.
-    Chunked(ChunkPlan),
-}
-
-impl WordSetSource {
-    /// The source for an arbitrary logical domain: chunked when the
-    /// domain exceeds the cap or [`chunk_override`] is set, in-memory
-    /// otherwise.
-    pub fn for_domain(domain: u64) -> WordSetSource {
-        if domain > MAX_DOMAIN_BITS || chunk_override().is_some() {
-            WordSetSource::Chunked(ChunkPlan::new(domain))
-        } else {
-            WordSetSource::InMemory { domain }
-        }
-    }
-
-    /// The source for the word domain `{a,b}^{2n}`.
-    pub fn for_word_domain(n: usize) -> WordSetSource {
-        Self::for_domain(logical_word_domain(n))
-    }
-
-    /// The source for the family-rank domain `2^n`.
-    pub fn for_family_domain(n: usize) -> WordSetSource {
-        Self::for_domain(logical_family_domain(n))
-    }
-
-    /// Is this the chunked path?
-    pub fn is_chunked(&self) -> bool {
-        matches!(self, WordSetSource::Chunked(_))
-    }
-
-    /// The logical domain size.
-    pub fn domain(&self) -> u64 {
-        match *self {
-            WordSetSource::InMemory { domain } => domain,
-            WordSetSource::Chunked(plan) => plan.domain(),
-        }
-    }
-
-    /// A one-line human description (for the CLI and experiment logs).
-    pub fn describe(&self) -> String {
-        match *self {
-            WordSetSource::InMemory { domain } => format!("in-memory ({domain} bits)"),
-            WordSetSource::Chunked(plan) => format!(
-                "chunked ({} bits in {} chunks of {})",
-                plan.domain(),
-                plan.num_chunks(),
-                plan.chunk_bits()
-            ),
-        }
-    }
 }
 
 /// Order-invariant digest of a run of backing words starting at bit
@@ -401,9 +352,7 @@ fn scan_blocks<A: Send>(
     obs::count!("cover.blocks", plan.num_chunks() as u64);
     let shift = plan.chunk_bits().trailing_zeros();
     let blocked: Vec<BlockedRect> = rects.iter().map(|r| BlockedRect::new(r, shift)).collect();
-    par::run_chunks(plan.num_chunks(), threads, |ci| {
-        let range = plan.chunk_range(ci);
-        let (base, len) = (range.start, range.end - range.start);
+    plan.run(threads, |base, len| {
         let (counter, ln) = scan_block(n, &blocked, base, len);
         fold(base, &counter, &ln)
     })
@@ -436,7 +385,7 @@ pub struct CoverScan {
 /// digests. Block results merge with order-free folds (AND / max / sum /
 /// XOR) in block order, so the scan is bit-identical across thread
 /// counts *and* block sizes. [`crate::cover::cover_scan_threads`] is this
-/// scan at the default [`cover_plan`].
+/// scan at the default [`block_plan`].
 pub fn cover_scan_chunked_threads(
     n: usize,
     rects: &[SetRectangle],
@@ -523,35 +472,6 @@ pub fn overlap_histogram_chunked_threads(
     hist
 }
 
-/// The count and digest of a rectangle's family-rank bitmap, streamed
-/// over `plan` by per-rank membership probes (the family rank interleaves
-/// `Π₀`/`Π₁` bits, so the side-filtering trick of the word domain does
-/// not apply; the scan route is the chunk-local analogue of the dense
-/// route in [`super::family_rectangle_bitmap_threads`]).
-pub fn family_rectangle_scan_chunked_threads(
-    n: usize,
-    r: &SetRectangle,
-    threads: usize,
-    plan: &ChunkPlan,
-) -> (u64, u64) {
-    assert!(supports_blocks(n));
-    assert_eq!(
-        plan.domain(),
-        logical_family_domain(n),
-        "plan/domain mismatch"
-    );
-    obs::count!("wordset.chunked.rect_scans");
-    let chunks = par::run_chunks(plan.num_chunks(), threads, |ci| {
-        let range = plan.chunk_range(ci);
-        let (base, len) = (range.start, range.end - range.start);
-        let chunk = WordSet::from_pred_threads(len, 1, |k| r.contains(family_unrank(n, base + k)));
-        (chunk.count(), digest_words(base, chunk.blocks()))
-    });
-    chunks
-        .into_iter()
-        .fold((0u64, 0u64), |(c, d), (cc, cd)| (c + cc, d ^ cd))
-}
-
 /// Signed discrepancy `|R ∩ A| − |R ∩ B|` streamed over the family-rank
 /// domain: per chunk, the rectangle slice is intersected with the `A`
 /// slice (both built by per-rank probes) and the two popcounts
@@ -570,9 +490,7 @@ pub fn discrepancy_chunked_threads(
     );
     obs::count!("wordset.chunked.discrepancies");
     let _t = obs::span!("wordset.chunked.discrepancy");
-    let partials = par::run_chunks(plan.num_chunks(), threads, |ci| {
-        let range = plan.chunk_range(ci);
-        let (base, len) = (range.start, range.end - range.start);
+    let partials = plan.run(threads, |base, len| {
         let rect = WordSet::from_pred_threads(len, 1, |k| r.contains(family_unrank(n, base + k)));
         let a = WordSet::from_pred_threads(len, 1, |k| in_a(n, family_unrank(n, base + k)));
         let in_a_count = rect.and_count(&a) as i64;
@@ -679,24 +597,31 @@ mod tests {
     fn cover_plan_blocks_and_banner() {
         let _g = env_gate();
         let _e = EnvRestore::clear();
-        let plan = cover_plan(10);
-        assert_eq!(
-            (plan.chunk_bits(), plan.num_chunks()),
-            (COVER_BLOCK_BITS, 4)
-        );
+        let words = |n: usize| block_plan(logical_word_domain(n));
+        let plan = words(10);
+        assert_eq!((plan.chunk_bits(), plan.num_chunks()), (BLOCK_BITS, 4));
         assert_eq!(plan.describe(), "blocked (2^20 bits in 4 blocks of 2^18)");
         // Domains below one block are a single whole-domain block.
         assert_eq!(
-            cover_plan(8).describe(),
+            words(8).describe(),
             "blocked (2^16 bits in 1 block of 2^16)"
         );
-        assert_eq!(cover_plan(2).chunk_bits(), 64);
-        assert_eq!(cover_plan(16).num_chunks(), 1 << 14);
+        assert_eq!(words(2).chunk_bits(), 64);
+        assert_eq!(words(16).num_chunks(), 1 << 14);
+        // The family domain takes the same plan: past the cap at n = 32,
+        // and one 64-bit block for the smallest family.
+        assert_eq!(
+            block_plan(logical_family_domain(32)).describe(),
+            "blocked (2^32 bits in 16384 blocks of 2^18)"
+        );
+        assert_eq!(block_plan(logical_family_domain(4)).chunk_range(0), 0..16);
+        assert_eq!(chunk_override(), None);
         // The override sets the block size, still capped at the domain.
         std::env::set_var(CHUNK_ENV, "65536");
-        assert_eq!(cover_plan(10).num_chunks(), 16);
-        assert_eq!(cover_plan(4).num_chunks(), 1);
-        assert_eq!(cover_plan(4).chunk_bits(), 256);
+        assert_eq!(chunk_override(), Some(65536));
+        assert_eq!(words(10).num_chunks(), 16);
+        assert_eq!(words(4).num_chunks(), 1);
+        assert_eq!(words(4).chunk_bits(), 256);
         assert_eq!(
             ChunkPlan::with_chunk_bits(100, 64).describe(),
             "blocked (100 bits in 2 blocks of 2^6)"
@@ -707,32 +632,6 @@ mod tests {
     #[should_panic(expected = "invalid chunk size")]
     fn plan_rejects_non_power_of_two() {
         let _ = ChunkPlan::with_chunk_bits(1 << 12, 100);
-    }
-
-    #[test]
-    fn source_picks_by_cap() {
-        let _g = env_gate();
-        let _e = EnvRestore::clear();
-        assert!(!WordSetSource::for_domain(MAX_DOMAIN_BITS).is_chunked());
-        assert!(WordSetSource::for_domain(MAX_DOMAIN_BITS + 1).is_chunked());
-        assert!(!WordSetSource::for_word_domain(13).is_chunked());
-        assert!(WordSetSource::for_word_domain(16).is_chunked());
-        assert_eq!(WordSetSource::for_word_domain(16).domain(), 1u64 << 32);
-        assert!(WordSetSource::for_family_domain(32).is_chunked());
-        assert!(!WordSetSource::for_family_domain(16).is_chunked());
-        assert!(WordSetSource::for_word_domain(13)
-            .describe()
-            .starts_with("in-memory"));
-        assert!(WordSetSource::for_word_domain(16)
-            .describe()
-            .starts_with("chunked"));
-        // The env override forces the chunked path even below the cap —
-        // the lever the CI chunked-determinism job relies on.
-        std::env::set_var(CHUNK_ENV, "4096");
-        assert!(WordSetSource::for_word_domain(4).is_chunked());
-        assert_eq!(chunk_override(), Some(4096));
-        std::env::remove_var(CHUNK_ENV);
-        assert_eq!(chunk_override(), None);
     }
 
     #[test]
@@ -829,10 +728,6 @@ mod tests {
                     "threads={threads}"
                 );
             }
-            let (count, digest) = family_rectangle_scan_chunked_threads(n, &r, 2, &plan);
-            let whole = super::super::family_rectangle_bitmap_threads(n, &r, 1);
-            assert_eq!(count, whole.count());
-            assert_eq!(digest, set_digest(&whole));
         }
     }
 }

@@ -143,6 +143,8 @@ pub struct Histogram {
     count: AtomicU64,
     total: AtomicU64,
     max: AtomicU64,
+    /// Set once a [`Span`] records into it: its samples are nanoseconds.
+    timed: AtomicBool,
 }
 
 impl Default for Histogram {
@@ -152,6 +154,7 @@ impl Default for Histogram {
             count: AtomicU64::new(0),
             total: AtomicU64::new(0),
             max: AtomicU64::new(0),
+            timed: AtomicBool::new(false),
         }
     }
 }
@@ -287,6 +290,7 @@ impl Span {
     /// Start a span on an already-interned histogram (the [`span!`]
     /// fast path). Callers gate on [`enabled`].
     pub fn from_histogram(hist: &'static Histogram) -> Span {
+        hist.timed.store(true, Ordering::Relaxed);
         Span {
             live: Some((hist, Instant::now())),
         }
@@ -545,7 +549,9 @@ pub fn write_metrics(bin: &str) -> std::io::Result<PathBuf> {
 
 /// Render a one-screen text summary of every non-empty instrument, for
 /// end-of-run stderr. Counters and gauges print raw values; histograms
-/// print count / mean / max in a human unit (ns-scaled columns).
+/// print count / mean / max — span timings in a human time unit
+/// (`ns`, `µs`, `ms`, `s`), histograms fed only by [`record!`] (sizes,
+/// bytes, counts) as raw values.
 pub fn summary() -> String {
     let reg = registry();
     let mut out = String::new();
@@ -563,18 +569,28 @@ pub fn summary() -> String {
         let _ = writeln!(out, "  {name:<40} {v:>12}");
     }
     let hists = snapshot(&reg.histograms, |h: &Histogram| {
-        (h.count(), h.total(), h.max())
+        (
+            h.count(),
+            h.total(),
+            h.max(),
+            h.timed.load(Ordering::Relaxed),
+        )
     });
-    for (name, (count, total, max)) in hists {
+    for (name, (count, total, max, timed)) in hists {
         if count == 0 {
             continue;
         }
         let mean = total / count.max(1);
+        let unit = if timed {
+            fmt_ns
+        } else {
+            |v: u64| v.to_string()
+        };
         let _ = writeln!(
             out,
             "  {name:<40} n={count:<8} mean={:<12} max={}",
-            fmt_ns(mean),
-            fmt_ns(max)
+            unit(mean),
+            unit(max)
         );
     }
     out.push_str("─────────────────────────────────────────────────────");
@@ -726,10 +742,28 @@ mod tests {
         let _g = lock();
         set_enabled(true);
         count!("test.summary.hits", 4);
+        record!("test.summary.bytes", 9604);
+        let timing = histogram("test.summary.span");
+        drop(Span::from_histogram(timing));
+        timing.record(2_000_000_000);
         set_enabled(false);
         let s = summary();
         assert!(s.contains("test.summary.hits"));
         assert!(s.contains('4'));
+        let line = |name: &str| {
+            s.lines()
+                .find(|l| l.contains(name))
+                .unwrap_or_else(|| panic!("{name} missing from {s}"))
+                .to_string()
+        };
+        // A `record!`-only histogram prints raw values, no time unit…
+        let bytes = line("test.summary.bytes");
+        assert!(
+            bytes.contains("mean=9604 ") && bytes.ends_with("max=9604"),
+            "{bytes}"
+        );
+        // …while a span-fed one keeps the adaptive time unit.
+        assert!(line("test.summary.span").ends_with("max=2000ms"), "{s}");
     }
 
     #[test]
